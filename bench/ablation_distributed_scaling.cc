@@ -147,7 +147,7 @@ main(int argc, char **argv)
 
     bench::writeJsonReport(
         opts, "ablation_distributed_scaling",
-        {{"distributed_scaling", &table}}, {}, nullptr,
+        {{"distributed_scaling", &table}}, {},
         [&](profiling::JsonWriter &w) {
             w.beginArray("results");
             for (const DatasetRows &drows : all) {

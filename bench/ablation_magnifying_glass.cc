@@ -295,7 +295,7 @@ main(int argc, char **argv)
         opts, "ablation_magnifying_glass",
         {{"kernel_breakdown", &table},
          {"phase_breakdown", &phaseTable}},
-        std::move(runs), nullptr,
+        std::move(runs),
         [&rows](profiling::JsonWriter &w) { emitResults(w, rows); });
 
     std::printf(

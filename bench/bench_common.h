@@ -223,7 +223,6 @@ writeJsonReport(
     std::vector<std::pair<std::string, const profiling::Table *>>
         tables,
     std::vector<profiling::RunRecord> runs = {},
-    const profiling::ProfileNode *profile = nullptr,
     std::function<void(profiling::JsonWriter &)> resultsEmitter = {})
 {
     if (!opts.metricsDumpPath.empty()) {
@@ -239,7 +238,6 @@ writeJsonReport(
     ctx.options = optionPairs(opts);
     ctx.runs = std::move(runs);
     ctx.tables = std::move(tables);
-    ctx.profile = profile;
     ctx.resultsEmitter = std::move(resultsEmitter);
     ctx.trace = &profiling::TraceRecorder::global();
     ctx.metrics = &profiling::MetricsRegistry::global();

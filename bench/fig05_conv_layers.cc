@@ -81,8 +81,8 @@ main(int argc, char **argv)
             ds.info.numFeatures, kOutDim, prng);
         core::Tensor x256 = core::ops::matmul(ds.features, proj);
 
-        for (auto kind : dglx::allConvKinds()) {
-            const bool is_gcn2 = kind == dglx::ConvKind::Gcn2;
+        for (auto kind : nn::allConvKinds()) {
+            const bool is_gcn2 = kind == nn::ConvKind::Gcn2;
             const core::Tensor &x = is_gcn2 ? x256 : ds.features;
             const int64_t in_dim =
                 is_gcn2 ? kOutDim : ds.info.numFeatures;
@@ -91,9 +91,8 @@ main(int argc, char **argv)
             core::Rng wrng_d(opts.seed + 7), wrng_p(opts.seed + 7);
             auto dconv = dglx::makeConv(kind, in_dim, kOutDim,
                                         wrng_d, false);
-            auto pconv = pygx::makeConv(
-                static_cast<pygx::ConvKind>(kind), in_dim, kOutDim,
-                wrng_p, false);
+            auto pconv = pygx::makeConv(kind, in_dim, kOutDim,
+                                        wrng_p, false);
             if (is_gcn2) {
                 static_cast<dglx::Gcn2Conv *>(dconv.get())
                     ->setInitial(core::ag::constant(x.clone()));
@@ -154,11 +153,11 @@ main(int argc, char **argv)
                                           1) +
                           "x"
                     : "-";
-            table.addRow({dglx::convKindName(kind),
+            table.addRow({nn::convKindName(kind),
                           cell(t_dgl_cpu), cell(t_pyg_cpu),
                           cell(t_dgl_gpu), cell(t_pyg_gpu),
                           speedup});
-            all.addRow({name, dglx::convKindName(kind),
+            all.addRow({name, nn::convKindName(kind),
                         cell(t_dgl_cpu), cell(t_pyg_cpu),
                         cell(t_dgl_gpu), cell(t_pyg_gpu), speedup});
         }

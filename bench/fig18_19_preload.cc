@@ -124,7 +124,7 @@ main(int argc, char **argv)
         {{"speedups", &speedups},
          {"breakdown", &breakdown},
          {"prefetch", &prefetch}},
-        {}, nullptr, [&](profiling::JsonWriter &w) {
+        {}, [&](profiling::JsonWriter &w) {
             w.beginArray("results");
             for (const auto &gr : gate_rows) {
                 // Pre-loading must help end-to-end: with features in

@@ -84,8 +84,8 @@ main()
             }
             if (rows.empty())
                 continue;
-            const auto norm = dglx::computeGcnNorm(smp.adj);
-            const auto self = dglx::computeSelfScale(smp.adj);
+            const auto norm = nn::gcnNorm(smp.adj);
+            const auto self = nn::selfScale(smp.adj);
             ag::Var x = ag::constant(
                 core::ops::gatherRows(data.features, smp.nodes));
             ag::Var h = ag::relu(

@@ -92,7 +92,7 @@ DiffCase::DiffCase(const GraphCase &c, uint64_t seed,
 }
 
 Result
-diffConvForward(dglx::ConvKind kind, const GraphCase &c,
+diffConvForward(nn::ConvKind kind, const GraphCase &c,
                 uint64_t seed, DiffTol tol)
 {
     DiffCase d(c, seed);
@@ -100,11 +100,11 @@ diffConvForward(dglx::ConvKind kind, const GraphCase &c,
     core::Rng wrng_d(seed ^ 0x11ULL), wrng_p(seed ^ 0x11ULL);
     auto dconv =
         dglx::makeConv(kind, d.featDim, out_dim, wrng_d, false);
-    auto pconv = pygx::makeConv(static_cast<pygx::ConvKind>(kind),
-                                d.featDim, out_dim, wrng_p, false);
+    auto pconv =
+        pygx::makeConv(kind, d.featDim, out_dim, wrng_p, false);
 
     Tensor in = d.x.clone();
-    if (kind == dglx::ConvKind::Gcn2) {
+    if (kind == nn::ConvKind::Gcn2) {
         core::Rng prng(seed ^ 0x22ULL);
         in = core::ops::matmul(
             d.x, Tensor::glorot(d.featDim, out_dim, prng));
@@ -121,7 +121,7 @@ diffConvForward(dglx::ConvKind kind, const GraphCase &c,
     ag::Var pout =
         pconv->forward(d.pyg, ag::constant(in.clone()), pctx);
     std::string what =
-        std::string("forward[") + dglx::convKindName(kind) + "]";
+        std::string("forward[") + nn::convKindName(kind) + "]";
     return compareTensors(what.c_str(), dout->value, pout->value,
                           tol);
 }
@@ -248,8 +248,8 @@ diffInducedStep(const GraphCase &c, uint64_t seed, DiffTol tol)
     dglx::KernelCtx dctx;
     pygx::KernelCtx pctx;
 
-    const std::vector<float> norm = dglx::computeGcnNorm(smp.adj);
-    const std::vector<float> self = dglx::computeSelfScale(smp.adj);
+    const std::vector<float> norm = nn::gcnNorm(smp.adj);
+    const std::vector<float> self = nn::selfScale(smp.adj);
     ag::Var dh = d1.forwardInduced(smp.adj, norm, self,
                                    ag::constant(xb.clone()), dctx);
     ag::Var dout =

@@ -62,7 +62,7 @@ struct DiffCase
  * both frameworks (full-graph forward).  Handles the Gcn2 initial-
  * embedding requirement internally.
  */
-Result diffConvForward(dglx::ConvKind kind, const GraphCase &c,
+Result diffConvForward(nn::ConvKind kind, const GraphCase &c,
                        uint64_t seed, DiffTol tol = {});
 
 /**

@@ -17,7 +17,7 @@
 #include <vector>
 
 #include "gnnbench/check/validate.h"
-#include "gnnbench/pygx/message_passing.h"
+#include "gnnbench/pygx/batch.h"
 #include "gnnbench/sampling/subgraph.h"
 
 namespace gnnbench {

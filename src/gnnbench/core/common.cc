@@ -9,7 +9,12 @@ void
 fatal(const char *file, int line, const std::string &msg)
 {
     std::fprintf(stderr, "fatal: %s (%s:%d)\n", msg.c_str(), file, line);
-    std::exit(1);
+    // _Exit, not exit: static destructors must not run, because the
+    // thread pool's destructor joins workers that may not exist (e.g.
+    // in a forked death-test child) and would crash the exit path.
+    std::fflush(stdout);
+    std::fflush(stderr);
+    std::_Exit(1);
 }
 
 void

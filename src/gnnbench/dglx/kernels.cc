@@ -2,12 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
 #include <limits>
 
-#include "gnnbench/core/timer.h"
 #include "gnnbench/kernels/fusion.h"
 #include "gnnbench/kernels/kernels.h"
+#include "gnnbench/nn/conv.h"
 
 namespace gnnbench {
 namespace dglx {
@@ -20,67 +19,24 @@ namespace {
 /** Roofline signature of one fused g-SpMM call. */
 KernelDesc
 spmmDesc(const graph::CsrGraph &csc, int64_t feat_dim, bool weighted,
-         const Costs &costs)
+         const KernelCtx &ctx)
 {
     const double e = static_cast<double>(csc.numEdges());
     const double n_out = static_cast<double>(csc.numRows);
-    KernelDesc d;
-    d.name = "gspmm";
-    d.flops = (weighted ? 2.0 : 1.0) * e * feat_dim;
-    d.bytes = 4.0 * (e * feat_dim + n_out * feat_dim) + 8.0 * e +
-              (weighted ? 4.0 * e : 0.0);
-    d.efficiency = costs.gpuSpmmEff;
-    d.frameworkOverhead = costs.gpuCallOverhead;
-    return d;
+    return nn::sparseDesc(
+        "gspmm", (weighted ? 2.0 : 1.0) * e * feat_dim,
+        4.0 * (e * feat_dim + n_out * feat_dim) + 8.0 * e +
+            (weighted ? 4.0 * e : 0.0),
+        ctx.costs.gpuSpmmEff, ctx);
 }
 
 KernelDesc
-sddmmDesc(const graph::CsrGraph &csc, int64_t cols, const Costs &costs)
+sddmmDesc(const graph::CsrGraph &csc, int64_t cols, const KernelCtx &ctx)
 {
     const double e = static_cast<double>(csc.numEdges());
-    KernelDesc d;
-    d.name = "gsddmm";
-    d.flops = 2.0 * e * cols;
-    d.bytes = 4.0 * e * (2.0 * cols + 1.0) + 8.0 * e;
-    d.efficiency = costs.gpuSddmmEff;
-    d.frameworkOverhead = costs.gpuCallOverhead;
-    return d;
-}
-
-KernelDesc
-elemDesc(const char *name, double elems, const Costs &costs)
-{
-    KernelDesc d;
-    d.name = name;
-    d.flops = 2.0 * elems;
-    d.bytes = 8.0 * elems;
-    d.efficiency = costs.gpuElemEff;
-    return d;
-}
-
-KernelDesc
-gemmDesc(int64_t m, int64_t k, int64_t n, const Costs &costs)
-{
-    KernelDesc d;
-    d.name = "gemm";
-    d.flops = 2.0 * static_cast<double>(m) * k * n;
-    d.bytes = 4.0 * (static_cast<double>(m) * k +
-                     static_cast<double>(k) * n +
-                     static_cast<double>(m) * n);
-    d.efficiency = costs.gpuGemmEff;
-    return d;
-}
-
-/** Run fn as a kernel through the context's session (if any). */
-template <typename F>
-void
-runKernel(const KernelCtx &ctx, const KernelDesc &desc, F &&fn)
-{
-    if (ctx.session) {
-        ctx.session->runKernel(ctx.dev, desc, std::forward<F>(fn));
-    } else {
-        fn();
-    }
+    return nn::sparseDesc("gsddmm", 2.0 * e * cols,
+                          4.0 * e * (2.0 * cols + 1.0) + 8.0 * e,
+                          ctx.costs.gpuSddmmEff, ctx);
 }
 
 kernels::ReduceOp
@@ -107,7 +63,7 @@ gspmm(const graph::CsrGraph &csc, const Tensor &x, Reducer reducer,
                    "gspmm: feature rows != source nodes");
     const int64_t f = x.cols();
     Tensor out;
-    runKernel(ctx, spmmDesc(csc, f, w != nullptr, ctx.costs), [&] {
+    runKernel(ctx, spmmDesc(csc, f, w != nullptr, ctx), [&] {
         out = kernels::spmm(csc, x, toReduceOp(reducer), w);
     });
     return out;
@@ -121,7 +77,7 @@ gspmmScatter(const graph::CsrGraph &csc, const Tensor &x,
                    "gspmmScatter: feature rows != adjacency rows");
     const int64_t f = x.cols();
     Tensor out;
-    KernelDesc desc = spmmDesc(csc, f, w != nullptr, ctx.costs);
+    KernelDesc desc = spmmDesc(csc, f, w != nullptr, ctx);
     desc.name = "gspmm_scatter";
     runKernel(ctx, desc,
               [&] { out = kernels::spmmScatter(csc, x, w); });
@@ -139,7 +95,7 @@ gsddmmAdd(const graph::CsrGraph &csc, const Tensor &a_dst,
                    "gsddmmAdd: operand cols mismatch");
     const int64_t h = a_dst.cols();
     Tensor out;
-    runKernel(ctx, sddmmDesc(csc, h, ctx.costs),
+    runKernel(ctx, sddmmDesc(csc, h, ctx),
               [&] { out = kernels::sddmmAdd(csc, a_dst, b_src); });
     return out;
 }
@@ -155,7 +111,7 @@ gsddmmDot(const graph::CsrGraph &csc, const Tensor &a_dst,
                    "gsddmmDot: operand cols mismatch");
     const int64_t f = a_dst.cols();
     Tensor out;
-    runKernel(ctx, sddmmDesc(csc, f, ctx.costs),
+    runKernel(ctx, sddmmDesc(csc, f, ctx),
               [&] { out = kernels::sddmmDot(csc, a_dst, b_src); });
     return out;
 }
@@ -174,7 +130,7 @@ gsddmmAttnV2(const graph::CsrGraph &csc, const Tensor &z_dst,
                    "gsddmmAttnV2: attention vector shape");
     const int64_t f = z_dst.cols();
     Tensor out;
-    KernelDesc d = sddmmDesc(csc, f, ctx.costs);
+    KernelDesc d = sddmmDesc(csc, f, ctx);
     d.name = "gsddmm_attn_v2";
     d.flops *= 2.0;  // add + leakyrelu + dot
     runKernel(ctx, d, [&] {
@@ -209,8 +165,8 @@ edgeSoftmax(const graph::CsrGraph &csc, const Tensor &scores,
     Tensor out;
     runKernel(
         ctx,
-        elemDesc("edge_softmax",
-                 static_cast<double>(scores.numel()) * 3.0, ctx.costs),
+        nn::elemDesc("edge_softmax",
+                     static_cast<double>(scores.numel()) * 3.0, ctx),
         [&] {
             out = Tensor::empty(scores.rows(), scores.cols());
             for (NodeId d = 0; d < csc.numRows; ++d) {
@@ -245,21 +201,12 @@ gspmmEdgeScalar(const graph::CsrGraph &csc, const Tensor &x,
                    "gspmmEdgeScalar: feature rows != source nodes");
     const int64_t f = x.cols();
     Tensor out;
-    runKernel(ctx, spmmDesc(csc, f, true, ctx.costs), [&] {
+    runKernel(ctx, spmmDesc(csc, f, true, ctx), [&] {
         // att is E x 1, so its storage is exactly the per-edge
         // weight array in csc traversal order.
         out = kernels::spmm(csc, x, kernels::ReduceOp::Sum,
                             att.data());
     });
-    return out;
-}
-
-Tensor
-gemm(const Tensor &a, const Tensor &b, const KernelCtx &ctx)
-{
-    Tensor out;
-    runKernel(ctx, gemmDesc(a.rows(), a.cols(), b.cols(), ctx.costs),
-              [&] { out = core::ops::matmul(a, b); });
     return out;
 }
 
@@ -303,21 +250,6 @@ spmmScatterBwdVar(std::shared_ptr<const graph::CsrGraph> csc,
 
 namespace {
 
-/** Inverse in-degree per csc row — the SAGE mean normalization,
- *  computed with the exact expression the materialized row-scale
- *  path uses so fused and fallback normalize bit-identically. */
-std::vector<float>
-invDegree(const graph::CsrGraph &csc)
-{
-    std::vector<float> s(static_cast<size_t>(csc.numRows));
-    for (NodeId v = 0; v < csc.numRows; ++v) {
-        const EdgeId d = csc.indptr[v + 1] - csc.indptr[v];
-        s[static_cast<size_t>(v)] =
-            d > 0 ? 1.0f / static_cast<float>(d) : 0.0f;
-    }
-    return s;
-}
-
 /**
  * Record the spmm→row-scale chain in a kernel graph and ask it
  * whether the normalization may fold into the aggregation kernel.
@@ -339,6 +271,31 @@ fuseMeanChain(const graph::CsrGraph &csc, int64_t f)
     return g.fuse(agg, scale, 16 * numel);
 }
 
+/** Unfused mean: scale a Sum aggregation by 1/in-degree of @p csc. */
+core::ag::Var
+scaleByInvDegree(const core::ag::Var &agg, const graph::CsrGraph &csc,
+                 const KernelCtx &ctx)
+{
+    std::vector<float> inv;
+    runPrep(ctx, static_cast<double>(csc.numRows),
+            [&] { inv = nn::invDegree(csc); });
+    return rowScaleVar(agg, std::move(inv), ctx);
+}
+
+/** Fused mean: the normalization folded into one aggregation kernel. */
+Tensor
+gspmmMean(const graph::CsrGraph &csc, const Tensor &x,
+          const KernelCtx &ctx)
+{
+    KernelDesc desc = spmmDesc(csc, x.cols(), false, ctx);
+    desc.name = "gspmm_mean";
+    Tensor y;
+    runKernel(ctx, desc, [&] {
+        y = kernels::spmm(csc, x, kernels::ReduceOp::Mean);
+    });
+    return y;
+}
+
 } // namespace
 
 core::ag::Var
@@ -346,21 +303,11 @@ spmmMeanVar(const graph::CsrGraph &csc,
             std::shared_ptr<const graph::CsrGraph> bwd,
             const core::ag::Var &x, const KernelCtx &ctx)
 {
-    const int64_t f = x->value.cols();
-    if (!fuseMeanChain(csc, f)) {
-        core::ag::Var agg =
-            spmmVar(csc, nullptr, std::move(bwd), nullptr, x, ctx);
-        std::vector<float> inv;
-        runPrep(ctx, static_cast<double>(csc.numRows),
-                [&] { inv = invDegree(csc); });
-        return rowScaleVar(agg, std::move(inv), ctx);
-    }
-    KernelDesc desc = spmmDesc(csc, f, false, ctx.costs);
-    desc.name = "gspmm_mean";
-    Tensor y;
-    runKernel(ctx, desc, [&] {
-        y = kernels::spmm(csc, x->value, kernels::ReduceOp::Mean);
-    });
+    if (!fuseMeanChain(csc, x->value.cols()))
+        return scaleByInvDegree(
+            spmmVar(csc, nullptr, std::move(bwd), nullptr, x, ctx), csc,
+            ctx);
+    Tensor y = gspmmMean(csc, x->value, ctx);
     // Backward folds the inverse destination degree into the
     // transposed aggregation's edge weights: bwd's indices are
     // destinations, so w[e] = inv[bwd.indices[e]].
@@ -371,7 +318,7 @@ spmmMeanVar(const graph::CsrGraph &csc,
                 static_cast<double>(csc.numRows) +
                     static_cast<double>(b.numEdges()),
                 [&] {
-                    const std::vector<float> inv = invDegree(csc);
+                    const std::vector<float> inv = nn::invDegree(csc);
                     w_bwd->resize(static_cast<size_t>(b.numEdges()));
                     for (EdgeId e = 0; e < b.numEdges(); ++e)
                         (*w_bwd)[static_cast<size_t>(e)] = inv[
@@ -393,20 +340,10 @@ spmmMeanScatterBwdVar(std::shared_ptr<const graph::CsrGraph> csc,
                       const core::ag::Var &x, const KernelCtx &ctx)
 {
     const graph::CsrGraph &g = *csc;
-    const int64_t f = x->value.cols();
-    if (!fuseMeanChain(g, f)) {
-        core::ag::Var agg = spmmScatterBwdVar(csc, nullptr, x, ctx);
-        std::vector<float> inv;
-        runPrep(ctx, static_cast<double>(g.numRows),
-                [&] { inv = invDegree(g); });
-        return rowScaleVar(agg, std::move(inv), ctx);
-    }
-    KernelDesc desc = spmmDesc(g, f, false, ctx.costs);
-    desc.name = "gspmm_mean";
-    Tensor y;
-    runKernel(ctx, desc, [&] {
-        y = kernels::spmm(g, x->value, kernels::ReduceOp::Mean);
-    });
+    if (!fuseMeanChain(g, x->value.cols()))
+        return scaleByInvDegree(spmmScatterBwdVar(csc, nullptr, x, ctx),
+                                g, ctx);
+    Tensor y = gspmmMean(g, x->value, ctx);
     // Scatter-form backward over the same adjacency: each edge's
     // weight is the inverse degree of its destination row.
     auto w_bwd = std::make_shared<std::vector<float>>();
@@ -414,7 +351,7 @@ spmmMeanScatterBwdVar(std::shared_ptr<const graph::CsrGraph> csc,
             static_cast<double>(g.numRows) +
                 static_cast<double>(g.numEdges()),
             [&] {
-                const std::vector<float> inv = invDegree(g);
+                const std::vector<float> inv = nn::invDegree(g);
                 w_bwd->resize(static_cast<size_t>(g.numEdges()));
                 for (NodeId r = 0; r < g.numRows; ++r)
                     for (EdgeId e = g.indptr[r]; e < g.indptr[r + 1];
@@ -432,39 +369,6 @@ spmmMeanScatterBwdVar(std::shared_ptr<const graph::CsrGraph> csc,
         });
 }
 
-core::ag::Var
-gemmVar(const core::ag::Var &a, const core::ag::Var &b,
-        const KernelCtx &ctx)
-{
-    Tensor y = gemm(a->value, b->value, ctx);
-    return core::ag::makeOp(
-        "dglx.gemm", std::move(y), {a, b},
-        [a, b, ctx](core::ag::Node &n) {
-            if (a->requiresGrad) {
-                Tensor ga;
-                runKernel(ctx,
-                          gemmDesc(n.grad.rows(), n.grad.cols(),
-                                   b->value.rows(), ctx.costs),
-                          [&] {
-                              ga = core::ops::matmulTb(n.grad,
-                                                       b->value);
-                          });
-                a->accumulateGrad(ga);
-            }
-            if (b->requiresGrad) {
-                Tensor gb;
-                runKernel(ctx,
-                          gemmDesc(a->value.cols(), a->value.rows(),
-                                   n.grad.cols(), ctx.costs),
-                          [&] {
-                              gb = core::ops::matmulTa(a->value,
-                                                       n.grad);
-                          });
-                b->accumulateGrad(gb);
-            }
-        });
-}
-
 core::Tensor
 segmentSumRows(const graph::CsrGraph &csc, const Tensor &x,
                const KernelCtx &ctx)
@@ -473,8 +377,8 @@ segmentSumRows(const graph::CsrGraph &csc, const Tensor &x,
                    "segmentSumRows: one row per edge required");
     Tensor out;
     runKernel(ctx,
-              elemDesc("segment_sum",
-                       static_cast<double>(x.numel()), ctx.costs),
+              nn::elemDesc("segment_sum",
+                           static_cast<double>(x.numel()), ctx),
               [&] { out = kernels::segmentSumRows(csc, x); });
     return out;
 }
@@ -487,8 +391,8 @@ scatterSumCols(const graph::CsrGraph &csc, const Tensor &x,
                    "scatterSumCols: one row per edge required");
     Tensor out;
     runKernel(ctx,
-              elemDesc("scatter_sum_cols",
-                       static_cast<double>(x.numel()), ctx.costs),
+              nn::elemDesc("scatter_sum_cols",
+                           static_cast<double>(x.numel()), ctx),
               [&] { out = kernels::scatterSumCols(csc, x); });
     return out;
 }
@@ -527,9 +431,9 @@ edgeSoftmaxVar(std::shared_ptr<const graph::CsrGraph> csc,
             Tensor gx;
             runKernel(
                 ctx,
-                elemDesc("edge_softmax_bwd",
-                         3.0 * static_cast<double>(y_out.numel()),
-                         ctx.costs),
+                nn::elemDesc("edge_softmax_bwd",
+                             3.0 * static_cast<double>(y_out.numel()),
+                             ctx),
                 [&] {
                     gx = Tensor::empty(y_out.rows(), y_out.cols());
                     const int64_t h = y_out.cols();
@@ -596,7 +500,7 @@ gsddmmAttnV2Var(std::shared_ptr<const graph::CsrGraph> csc,
             Tensor g_dst(z_dst->value.rows(), f);
             Tensor g_src(z_src->value.rows(), f);
             Tensor g_attn(1, f);
-            KernelDesc d = sddmmDesc(*csc, f, ctx.costs);
+            KernelDesc d = sddmmDesc(*csc, f, ctx);
             d.name = "gsddmm_attn_v2_bwd";
             d.flops *= 3.0;
             runKernel(ctx, d, [&] {
@@ -632,94 +536,6 @@ gsddmmAttnV2Var(std::shared_ptr<const graph::CsrGraph> csc,
             if (attn_vec->requiresGrad)
                 attn_vec->accumulateGrad(g_attn);
         });
-}
-
-namespace {
-
-/** Charge one elementwise kernel pass over n elements. */
-void
-chargeElem(const KernelCtx &ctx, double n)
-{
-    if (!ctx.session || !ctx.onGpu())
-        return;
-    KernelDesc d = elemDesc("elementwise", n, ctx.costs);
-    ctx.session->chargeGpuKernel(d);
-}
-
-/**
- * Wrap a core autograd elementwise op so that its forward runs under
- * runKernel (wall excluded on GPU, modeled time charged) and its
- * backward charges one more elementwise pass.
- */
-core::ag::Var
-elemWrap(const KernelCtx &ctx,
-         const std::function<core::ag::Var()> &build)
-{
-    if (!ctx.session || !ctx.onGpu())
-        return build();
-    core::Timer timer;
-    core::ag::Var out = build();
-    ctx.session->excludeWall(timer.elapsed());
-    {
-        chargeElem(ctx, static_cast<double>(out->value.numel()));
-        if (out->requiresGrad && out->backwardFn) {
-            auto inner = std::move(out->backwardFn);
-            auto ctx_copy = ctx;
-            out->backwardFn = [inner = std::move(inner),
-                               ctx_copy](core::ag::Node &n) {
-                core::Timer t;
-                inner(n);
-                ctx_copy.session->excludeWall(t.elapsed());
-                chargeElem(ctx_copy,
-                           static_cast<double>(n.value.numel()));
-            };
-        }
-    }
-    return out;
-}
-
-} // namespace
-
-core::ag::Var
-elemVar(const KernelCtx &ctx,
-        const std::function<core::ag::Var()> &build)
-{
-    return elemWrap(ctx, build);
-}
-
-core::ag::Var
-addVar(const core::ag::Var &a, const core::ag::Var &b,
-       const KernelCtx &ctx)
-{
-    return elemWrap(ctx, [&] { return core::ag::add(a, b); });
-}
-
-core::ag::Var
-addBiasVar(const core::ag::Var &x, const core::ag::Var &bias,
-           const KernelCtx &ctx)
-{
-    return elemWrap(ctx, [&] { return core::ag::addBias(x, bias); });
-}
-
-core::ag::Var
-rowScaleVar(const core::ag::Var &x, std::vector<float> s,
-            const KernelCtx &ctx)
-{
-    return elemWrap(ctx, [&] {
-        return core::ag::rowScale(x, std::move(s));
-    });
-}
-
-core::ag::Var
-reluVar(const core::ag::Var &x, const KernelCtx &ctx)
-{
-    return elemWrap(ctx, [&] { return core::ag::relu(x); });
-}
-
-core::ag::Var
-scaleVar(const core::ag::Var &x, float alpha, const KernelCtx &ctx)
-{
-    return elemWrap(ctx, [&] { return core::ag::scale(x, alpha); });
 }
 
 } // namespace dglx

@@ -9,47 +9,26 @@
  * out of the source feature matrix, and gsddmm()/edgeSoftmax() only
  * ever materialize per-edge *scalars* (attention scores).
  *
- * Every kernel is accounted through a KernelCtx: on the CPU it simply
- * runs (and is measured); on the modeled GPU its wall time is
- * replaced by the roofline estimate with DGL-calibrated efficiency
- * constants (Costs).
+ * Every kernel is routed through the shared nn::KernelCtx with DGL's
+ * cost profile (Costs); dense GEMM, elementwise and prep ops come
+ * from the shared op layer (nn/ops.h).
  */
 
 #ifndef GNNBENCH_DGLX_KERNELS_H
 #define GNNBENCH_DGLX_KERNELS_H
 
-#include "gnnbench/core/autograd.h"
-#include "gnnbench/core/tensor.h"
-#include "gnnbench/device/session.h"
 #include "gnnbench/graph/csr.h"
+#include "gnnbench/nn/ops.h"
 
 namespace gnnbench {
 namespace dglx {
 
-/**
- * Modeled GPU cost constants of the dglx framework.
- *
- * DGL's kernels are highly tuned (high achieved bandwidth) but each
- * update_all() call pays noticeable framework bookkeeping, which is
- * why the paper observes PyG winning on *small* graphs on GPU.
- */
-struct Costs
-{
-    double gpuSpmmEff = 0.55;   ///< fused g-SpMM achieved fraction
-    double gpuSddmmEff = 0.50;
-    double gpuGemmEff = 0.85;   ///< cuBLAS-like dense GEMM
-    double gpuElemEff = 0.60;   ///< elementwise / softmax kernels
-    double gpuCallOverhead = 150e-6; ///< per message-passing call
-};
+using nn::KernelCtx;
 
-/** Execution context shared by all kernels in one run. */
-struct KernelCtx
+/** `dglx::Costs{}` selects DGL's cost profile (nn::kDglxCosts). */
+struct Costs : nn::CostProfile
 {
-    device::Session *session = nullptr;
-    device::DeviceType dev = device::DeviceType::CPU;
-    Costs costs;
-
-    bool onGpu() const { return dev == device::DeviceType::GPU; }
+    Costs() : nn::CostProfile(nn::kDglxCosts) {}
 };
 
 /** Aggregation operators supported by gspmm. */
@@ -118,24 +97,8 @@ core::Tensor gspmmEdgeScalar(const graph::CsrGraph &csc,
                              const core::Tensor &att,
                              const KernelCtx &ctx);
 
-/** Dense GEMM routed through the device model (cuBLAS on GPU). */
-core::Tensor gemm(const core::Tensor &a, const core::Tensor &b,
-                  const KernelCtx &ctx);
-
 /// @name Autograd wrappers
 /// @{
-
-/**
- * Alias a long-lived object as a shared_ptr without taking ownership.
- * Used to hand cached graph structures to backward closures; the
- * caller guarantees the object outlives the autograd tape.
- */
-template <typename T>
-std::shared_ptr<const T>
-borrow(const T &obj)
-{
-    return std::shared_ptr<const T>(&obj, [](const T *) {});
-}
 
 /**
  * Differentiable fused aggregation y = A x with per-edge weights.
@@ -187,9 +150,7 @@ core::ag::Var spmmMeanScatterBwdVar(
     std::shared_ptr<const graph::CsrGraph> csc, const core::ag::Var &x,
     const KernelCtx &ctx);
 
-/** Differentiable GEMM through the device model. */
-core::ag::Var gemmVar(const core::ag::Var &a, const core::ag::Var &b,
-                      const KernelCtx &ctx);
+/// @}
 
 /// @name Differentiable attention ops
 /// Full training support for the attention layers: every backward
@@ -234,50 +195,6 @@ core::ag::Var gsddmmAttnV2Var(
     const core::ag::Var &z_dst, const core::ag::Var &z_src,
     const core::ag::Var &attn_vec, float negative_slope,
     const KernelCtx &ctx);
-
-/// @}
-
-/// @name Device-routed elementwise ops
-/// Thin wrappers over the core autograd ops that account forward and
-/// backward as elementwise kernels on the configured device (so GPU
-/// runs are not polluted by host glue time).
-/// @{
-core::ag::Var addVar(const core::ag::Var &a, const core::ag::Var &b,
-                     const KernelCtx &ctx);
-core::ag::Var addBiasVar(const core::ag::Var &x,
-                         const core::ag::Var &bias,
-                         const KernelCtx &ctx);
-core::ag::Var rowScaleVar(const core::ag::Var &x,
-                          std::vector<float> s, const KernelCtx &ctx);
-core::ag::Var reluVar(const core::ag::Var &x, const KernelCtx &ctx);
-core::ag::Var scaleVar(const core::ag::Var &x, float alpha,
-                       const KernelCtx &ctx);
-
-/** Run any core autograd elementwise op under device accounting
- *  (forward and backward are charged as elementwise kernels). */
-core::ag::Var elemVar(const KernelCtx &ctx,
-                      const std::function<core::ag::Var()> &build);
-
-/**
- * Run @p fn (host-side preparation such as normalization-weight
- * computation) as an elementwise kernel over @p elems elements on
- * the context's device.
- */
-template <typename F>
-void
-runPrep(const KernelCtx &ctx, double elems, F &&fn)
-{
-    if (!ctx.session) {
-        fn();
-        return;
-    }
-    device::KernelDesc desc;
-    desc.name = "prep";
-    desc.flops = 2.0 * elems;
-    desc.bytes = 8.0 * elems;
-    desc.efficiency = ctx.costs.gpuElemEff;
-    ctx.session->runKernel(ctx.dev, desc, std::forward<F>(fn));
-}
 
 /// @}
 

@@ -1,106 +1,10 @@
 #include "gnnbench/dglx/nn.h"
 
-#include <cmath>
-
 namespace gnnbench {
 namespace dglx {
 
 namespace ag = core::ag;
 using core::Tensor;
-
-const char *
-convKindName(ConvKind kind)
-{
-    switch (kind) {
-      case ConvKind::Gcn:
-        return "GCNConv";
-      case ConvKind::Gcn2:
-        return "GCN2Conv";
-      case ConvKind::Cheb:
-        return "ChebConv";
-      case ConvKind::Sage:
-        return "SAGEConv";
-      case ConvKind::Gat:
-        return "GATConv";
-      case ConvKind::Gatv2:
-        return "GATv2Conv";
-      case ConvKind::Tag:
-        return "TAGConv";
-      case ConvKind::Sg:
-        return "SGConv";
-    }
-    return "?";
-}
-
-const std::vector<ConvKind> &
-allConvKinds()
-{
-    static const std::vector<ConvKind> kinds = {
-        ConvKind::Gcn, ConvKind::Gcn2, ConvKind::Cheb, ConvKind::Sage,
-        ConvKind::Gat, ConvKind::Gatv2, ConvKind::Tag, ConvKind::Sg};
-    return kinds;
-}
-
-std::vector<float>
-computeGcnNorm(const graph::CsrGraph &sym_adj)
-{
-    GNNBENCH_CHECK(sym_adj.numRows == sym_adj.numCols,
-                   "computeGcnNorm expects a square adjacency");
-    std::vector<float> inv_sqrt(sym_adj.numRows);
-    for (NodeId v = 0; v < sym_adj.numRows; ++v)
-        inv_sqrt[v] = 1.0f / std::sqrt(
-                                 static_cast<float>(sym_adj.degree(v)) +
-                                 1.0f);
-    std::vector<float> w(sym_adj.numEdges());
-    EdgeId e = 0;
-    for (NodeId r = 0; r < sym_adj.numRows; ++r)
-        for (EdgeId i = sym_adj.indptr[r]; i < sym_adj.indptr[r + 1];
-             ++i, ++e)
-            w[e] = inv_sqrt[r] * inv_sqrt[sym_adj.indices[i]];
-    return w;
-}
-
-std::vector<float>
-computeInvDegree(const graph::CsrGraph &csc)
-{
-    std::vector<float> s(csc.numRows);
-    for (NodeId v = 0; v < csc.numRows; ++v) {
-        const auto d = csc.degree(v);
-        s[v] = d > 0 ? 1.0f / static_cast<float>(d) : 0.0f;
-    }
-    return s;
-}
-
-std::vector<float>
-computeSelfScale(const graph::CsrGraph &sym_adj)
-{
-    std::vector<float> s(sym_adj.numRows);
-    for (NodeId v = 0; v < sym_adj.numRows; ++v)
-        s[v] =
-            1.0f / (static_cast<float>(sym_adj.degree(v)) + 1.0f);
-    return s;
-}
-
-Conv::Conv(std::string name, bool trainable)
-    : name_(std::move(name)), trainable_(trainable)
-{
-}
-
-Var
-Conv::addParam(Tensor t)
-{
-    params_.push_back(ag::leaf(std::move(t), trainable_));
-    return params_.back();
-}
-
-uint64_t
-Conv::paramBytes() const
-{
-    uint64_t bytes = 0;
-    for (const auto &p : params_)
-        bytes += p->value.bytes();
-    return bytes;
-}
 
 namespace {
 
@@ -112,8 +16,8 @@ namespace {
 Var
 propagateNorm(const Graph &g, const Var &x, const KernelCtx &ctx)
 {
-    Var agg = spmmVar(g.csc(), g.gcnNormCsc().data(), borrow(g.csr()),
-                      borrow(g.gcnNormCsr()), x, ctx);
+    Var agg = spmmVar(g.csc(), g.gcnNormCsc().data(), nn::borrow(g.csr()),
+                      nn::borrow(g.gcnNormCsr()), x, ctx);
     std::vector<float> self;
     runPrep(ctx, static_cast<double>(g.numNodes()), [&] {
         self.resize(g.numNodes());
@@ -150,8 +54,8 @@ GcnConv::forwardInduced(const graph::CsrGraph &adj,
     Var xw = gemmVar(x, weight_, ctx);
     // Symmetric adjacency + symmetric weight function: the same
     // structure/weights serve forward and backward.
-    Var agg = spmmVar(adj, gcn_norm.data(), borrow(adj),
-                      borrow(gcn_norm), xw, ctx);
+    Var agg = spmmVar(adj, gcn_norm.data(), nn::borrow(adj),
+                      nn::borrow(gcn_norm), xw, ctx);
     Var h = addVar(agg, rowScaleVar(xw, self_scale, ctx), ctx);
     return addBiasVar(h, bias_, ctx);
 }
@@ -226,7 +130,7 @@ SageConv::forward(const Graph &g, const Var &x, const KernelCtx &ctx)
 {
     // Mean aggregation through the kernel graph: the spmm→row-scale
     // chain fuses into one gspmm_mean kernel when fusion is on.
-    Var agg = spmmMeanVar(g.csc(), borrow(g.csr()), x, ctx);
+    Var agg = spmmMeanVar(g.csc(), nn::borrow(g.csr()), x, ctx);
     Var h = addVar(gemmVar(x, selfWeight_, ctx),
                     gemmVar(agg, neighWeight_, ctx), ctx);
     return addBiasVar(h, bias_, ctx);
@@ -240,7 +144,7 @@ SageConv::forwardBlock(const sampling::Block &block, const Var &x_src,
     // structure — no transpose is ever materialized (DGL's approach).
     // The mean normalization fuses into the aggregation kernel when
     // the kernel graph allows it.
-    Var agg = spmmMeanScatterBwdVar(borrow(block.csc), x_src, ctx);
+    Var agg = spmmMeanScatterBwdVar(nn::borrow(block.csc), x_src, ctx);
     // Destination features are the first |dst| rows of x_src.
     std::vector<NodeId> dst_rows(block.dstNodes.size());
     for (size_t i = 0; i < dst_rows.size(); ++i)
@@ -255,7 +159,7 @@ Var
 SageConv::forwardInduced(const graph::CsrGraph &adj, const Var &x,
                          const KernelCtx &ctx)
 {
-    Var agg = spmmMeanVar(adj, borrow(adj), x, ctx);
+    Var agg = spmmMeanVar(adj, nn::borrow(adj), x, ctx);
     Var h = addVar(gemmVar(x, selfWeight_, ctx),
                     gemmVar(agg, neighWeight_, ctx), ctx);
     return addBiasVar(h, bias_, ctx);
@@ -279,7 +183,7 @@ GatConv::forward(const Graph &g, const Var &x, const KernelCtx &ctx)
     // Per-edge scalar path: logits, LeakyReLU, segment softmax,
     // fused weighted aggregation — no E x F materialization, and
     // every step differentiable (training support).
-    auto csc = borrow(g.csc());
+    auto csc = nn::borrow(g.csc());
     Var logits = gsddmmAddVar(csc, al, ar, ctx);
     Var scores = elemVar(ctx, [&] {
         return ag::leakyRelu(logits, 0.2f);
@@ -302,7 +206,7 @@ Gatv2Conv::forward(const Graph &g, const Var &x, const KernelCtx &ctx)
 {
     Var zl = gemmVar(x, weightL_, ctx);
     Var zr = gemmVar(x, weightR_, ctx);
-    auto csc = borrow(g.csc());
+    auto csc = nn::borrow(g.csc());
     Var scores = gsddmmAttnV2Var(csc, zl, zr, attn_, 0.2f, ctx);
     Var att = edgeSoftmaxVar(csc, scores, ctx);
     return gspmmEdgeScalarVar(csc, zr, att, ctx);
@@ -350,32 +254,32 @@ SgConv::forward(const Graph &g, const Var &x, const KernelCtx &ctx)
 }
 
 std::unique_ptr<Conv>
-makeConv(ConvKind kind, int64_t in_dim, int64_t out_dim, core::Rng &rng,
+makeConv(nn::ConvKind kind, int64_t in_dim, int64_t out_dim, core::Rng &rng,
          bool trainable)
 {
     switch (kind) {
-      case ConvKind::Gcn:
+      case nn::ConvKind::Gcn:
         return std::make_unique<GcnConv>(in_dim, out_dim, rng,
                                          trainable);
-      case ConvKind::Gcn2:
+      case nn::ConvKind::Gcn2:
         return std::make_unique<Gcn2Conv>(out_dim, 0.1f, 0.5f, rng,
                                           trainable);
-      case ConvKind::Cheb:
+      case nn::ConvKind::Cheb:
         return std::make_unique<ChebConv>(in_dim, out_dim, 3, rng,
                                           trainable);
-      case ConvKind::Sage:
+      case nn::ConvKind::Sage:
         return std::make_unique<SageConv>(in_dim, out_dim, rng,
                                           trainable);
-      case ConvKind::Gat:
+      case nn::ConvKind::Gat:
         return std::make_unique<GatConv>(in_dim, out_dim, rng,
                                          trainable);
-      case ConvKind::Gatv2:
+      case nn::ConvKind::Gatv2:
         return std::make_unique<Gatv2Conv>(in_dim, out_dim, rng,
                                            trainable);
-      case ConvKind::Tag:
+      case nn::ConvKind::Tag:
         return std::make_unique<TagConv>(in_dim, out_dim, 3, rng,
                                          trainable);
-      case ConvKind::Sg:
+      case nn::ConvKind::Sg:
         return std::make_unique<SgConv>(in_dim, out_dim, 2, rng,
                                         trainable);
     }

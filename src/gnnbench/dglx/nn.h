@@ -18,11 +18,11 @@
 #define GNNBENCH_DGLX_NN_H
 
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "gnnbench/dglx/graph.h"
 #include "gnnbench/dglx/kernels.h"
+#include "gnnbench/nn/conv.h"
 #include "gnnbench/sampling/subgraph.h"
 
 namespace gnnbench {
@@ -30,64 +30,9 @@ namespace dglx {
 
 using core::ag::Var;
 
-/** The eight benchmarked convolution kinds. */
-enum class ConvKind
-{
-    Gcn,
-    Gcn2,
-    Cheb,
-    Sage,
-    Gat,
-    Gatv2,
-    Tag,
-    Sg,
-};
-
-/** Printable layer name ("GCNConv", ...). */
-const char *convKindName(ConvKind kind);
-
-/** All eight kinds, in the paper's Figure 5 order. */
-const std::vector<ConvKind> &allConvKinds();
-
-/** Symmetric GCN weights 1/sqrt((d_r+1)(d_c+1)) for a symmetric
- *  adjacency, aligned with its row-major traversal. */
-std::vector<float> computeGcnNorm(const graph::CsrGraph &sym_adj);
-
-/** 1/(deg+1) self-loop scales used with computeGcnNorm. */
-std::vector<float> computeSelfScale(const graph::CsrGraph &sym_adj);
-
-/** 1/in-degree row scales for mean aggregation (0 for isolated). */
-std::vector<float> computeInvDegree(const graph::CsrGraph &csc);
-
-/** Base class: parameter registry shared by all conv layers. */
-class Conv
-{
-  public:
-    /**
-     * @param trainable when false, parameters are constants and no
-     * autograd tape is recorded (functional-testing mode).
-     */
-    Conv(std::string name, bool trainable);
-    virtual ~Conv() = default;
-
-    /** Full-graph forward (one message-passing step). */
-    virtual Var forward(const Graph &g, const Var &x,
-                        const KernelCtx &ctx) = 0;
-
-    const std::string &name() const { return name_; }
-    const std::vector<Var> &params() const { return params_; }
-
-    /** Total parameter bytes (for model-transfer accounting). */
-    uint64_t paramBytes() const;
-
-  protected:
-    /** Register one parameter tensor. */
-    Var addParam(core::Tensor t);
-
-    std::string name_;
-    bool trainable_;
-    std::vector<Var> params_;
-};
+/** Base of every dglx layer: the shared parameter registry with a
+ *  full-graph forward over a dglx::Graph. */
+using Conv = nn::Conv<Graph>;
 
 /** Kipf & Welling GCN layer with symmetric normalization. */
 class GcnConv : public Conv
@@ -245,7 +190,7 @@ class SgConv : public Conv
  * (ChebConv/TAGConv K = 3, SGConv K = 2, GCN2 alpha = 0.1,
  * beta = 0.5; GCN2Conv requires in_dim == out_dim and uses out_dim).
  */
-std::unique_ptr<Conv> makeConv(ConvKind kind, int64_t in_dim,
+std::unique_ptr<Conv> makeConv(nn::ConvKind kind, int64_t in_dim,
                                int64_t out_dim, core::Rng &rng,
                                bool trainable);
 

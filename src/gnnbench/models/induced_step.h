@@ -52,8 +52,8 @@ inducedStepDglx(const sampling::InducedSample &smp, core::Tensor x,
     namespace ag = core::ag;
     // Per-subgraph normalization, recomputed per batch like both
     // frameworks do on sampled subgraphs.
-    const std::vector<float> norm = dglx::computeGcnNorm(smp.adj);
-    const std::vector<float> self = dglx::computeSelfScale(smp.adj);
+    const std::vector<float> norm = nn::gcnNorm(smp.adj);
+    const std::vector<float> self = nn::selfScale(smp.adj);
     ag::Var xv = ag::leaf(std::move(x), false);
     ag::Var h = layer1.forwardInduced(smp.adj, norm, self, xv, ctx);
     h = ag::relu(h);

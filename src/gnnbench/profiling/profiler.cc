@@ -1,7 +1,5 @@
 #include "gnnbench/profiling/profiler.h"
 
-#include <sstream>
-
 #include "gnnbench/core/parallel.h"
 #include "gnnbench/profiling/trace.h"
 
@@ -164,117 +162,6 @@ PhaseTracker::total() const
     for (const auto &s : phases_)
         t += s;
     return t;
-}
-
-ProfileNode &
-ProfileNode::child(const std::string &child_name)
-{
-    for (auto &c : children)
-        if (c->name == child_name)
-            return *c;
-    children.push_back(std::make_unique<ProfileNode>());
-    children.back()->name = child_name;
-    return *children.back();
-}
-
-Profiler::Profiler(device::Session &session, TraceRecorder *trace)
-    : session_(session),
-      trace_(trace != nullptr ? trace : &TraceRecorder::global())
-{
-    root_.name = "total";
-}
-
-std::vector<ProfileNode *> &
-Profiler::threadStack()
-{
-    // Caller holds mutex_.
-    auto &slot = stacks_[std::this_thread::get_id()];
-    if (!slot) {
-        slot = std::make_unique<std::vector<ProfileNode *>>();
-        slot->push_back(&root_);
-    }
-    return *slot;
-}
-
-Profiler::Scope::Scope(Profiler &profiler, const std::string &name)
-    : profiler_(profiler),
-      onWorker_(core::parallel::inWorkerThread()), name_(name)
-{
-    {
-        std::lock_guard lock(profiler_.mutex_);
-        auto &stack = profiler_.threadStack();
-        ProfileNode &node = stack.back()->child(name);
-        stack.push_back(&node);
-    }
-    if (!onWorker_)
-        start_ = profiler_.session_.snapshot();
-    if (profiler_.trace_->enabled()) {
-        traced_ = true;
-        traceStart_ = profiler_.trace_->now();
-    }
-}
-
-Profiler::Scope::~Scope()
-{
-    const PerfDelta perf = perfScope_.stop();
-    power::ActivitySlice slice;
-    if (onWorker_)
-        slice.cpuBusySeconds = cpuTimer_.elapsed();
-    else
-        slice = sliceBetween(start_, profiler_.session_.snapshot());
-    {
-        std::lock_guard lock(profiler_.mutex_);
-        auto &stack = profiler_.threadStack();
-        ProfileNode *node = stack.back();
-        node->slice += slice;
-        ++node->calls;
-        stack.pop_back();
-    }
-    if (traced_) {
-        TraceRecorder &trace = *profiler_.trace_;
-        std::vector<std::pair<std::string, double>> args;
-        appendPerfArgs(perf, &args);
-        trace.record(name_, "scope", traceStart_, trace.now(),
-                     std::move(args));
-        if (!onWorker_)
-            emitSyntheticDeviceEvents(trace, name_.c_str(),
-                                      traceStart_, slice);
-    }
-}
-
-namespace {
-
-void
-renderNode(const ProfileNode &node, double parent_seconds, int depth,
-           std::ostringstream &out)
-{
-    const double secs = node.slice.seconds();
-    for (int i = 0; i < depth; ++i)
-        out << "  ";
-    out << node.name << "  " << secs << "s";
-    if (node.calls > 0)
-        out << "  (" << node.calls << " calls)";
-    if (parent_seconds > 0.0)
-        out << "  [" << 100.0 * secs / parent_seconds << "%]";
-    out << "\n";
-    for (const auto &c : node.children)
-        renderNode(*c, secs, depth + 1, out);
-}
-
-} // namespace
-
-std::string
-Profiler::report() const
-{
-    std::lock_guard lock(mutex_);
-    std::ostringstream out;
-    double total = 0.0;
-    for (const auto &c : root_.children)
-        total += c->slice.seconds();
-    out << "profile (total " << total << "s)\n";
-    for (const auto &c : root_.children)
-        renderNode(*c, total, 1, out);
-    return out.str();
 }
 
 } // namespace profiling

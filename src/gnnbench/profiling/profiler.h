@@ -1,38 +1,28 @@
 /**
  * @file
- * Runtime profiling infrastructure.
+ * Runtime phase accounting.
  *
- * Two levels, matching the paper's methodology:
- *  - PhaseTracker gives the coarse 4-phase accounting (data loading,
- *    sampling, data movement, model training) used by the runtime-
- *    breakdown figures;
- *  - Profiler is a pyinstrument-style hierarchical scoped profiler
- *    used for the per-function drill-downs.
- *
- * Both measure *virtual* time through device::Session snapshots so
- * modeled GPU kernels and transfers are accounted consistently, and
- * both are thread-safe: accumulators are mutex-protected, and scopes
- * opened on prefetch worker threads (which must not touch the
- * single-threaded Session) measure per-thread CPU time instead and
- * land in a separate worker-side tally that never double-counts
- * against the main virtual timeline.
+ * PhaseTracker gives the paper's coarse 4-phase accounting (data
+ * loading, sampling, data movement, model training) used by the
+ * runtime-breakdown figures.  It measures *virtual* time through
+ * device::Session snapshots so modeled GPU kernels and transfers are
+ * accounted consistently, and it is thread-safe: accumulators are
+ * mutex-protected, and scopes opened on prefetch worker threads
+ * (which must not touch the single-threaded Session) measure
+ * per-thread CPU time instead and land in a separate worker-side
+ * tally that never double-counts against the main virtual timeline.
  *
  * When the process TraceRecorder is enabled (bench --json), every
  * scope additionally emits a complete event on the calling thread's
- * trace lane, and PhaseTracker scopes reconstruct synthetic events
- * for the modeled GPU kernels and PCIe transfers they charged.
+ * trace lane plus synthetic events for the modeled GPU kernels and
+ * PCIe transfers it charged.
  */
 
 #ifndef GNNBENCH_PROFILING_PROFILER_H
 #define GNNBENCH_PROFILING_PROFILER_H
 
 #include <array>
-#include <memory>
 #include <mutex>
-#include <string>
-#include <thread>
-#include <unordered_map>
-#include <vector>
 
 #include "gnnbench/core/timer.h"
 #include "gnnbench/device/session.h"
@@ -141,78 +131,6 @@ class PhaseTracker
     std::array<power::ActivitySlice, kNumPhases> phases_;
     std::array<power::ActivitySlice, kNumPhases> workerPhases_;
     std::array<PerfDelta, kNumPhases> phasePerf_;
-};
-
-/** One node of the hierarchical profile tree. */
-struct ProfileNode
-{
-    std::string name;
-    int64_t calls = 0;
-    power::ActivitySlice slice;
-    std::vector<std::unique_ptr<ProfileNode>> children;
-
-    /** Find or create the child with the given name. */
-    ProfileNode &child(const std::string &child_name);
-};
-
-/**
- * pyinstrument-style scoped call-tree profiler.
- *
- * Threads share one tree: each thread keeps its own scope stack
- * (rooted at the shared root), and node updates are serialized by a
- * mutex, so concurrent scopes on prefetch workers are safe.  Worker-
- * thread scopes measure per-thread CPU seconds (they must not touch
- * the Session); main-thread scopes measure virtual time.  root() and
- * report() reflect a consistent tree once recording threads have
- * quiesced (e.g. after loaders joined).
- */
-class Profiler
-{
-  public:
-    explicit Profiler(device::Session &session,
-                      TraceRecorder *trace = nullptr);
-
-    /** RAII scope; nest scopes to build the tree. */
-    class Scope
-    {
-      public:
-        Scope(Profiler &profiler, const std::string &name);
-        ~Scope();
-        Scope(const Scope &) = delete;
-        Scope &operator=(const Scope &) = delete;
-
-      private:
-        Profiler &profiler_;
-        bool onWorker_;
-        device::Session::Snapshot start_;
-        core::ThreadCpuTimer cpuTimer_;
-        PerfScope perfScope_;
-        std::string name_;
-        double traceStart_ = 0.0;
-        bool traced_ = false;
-    };
-
-    Scope scope(const std::string &name) { return Scope(*this, name); }
-
-    /** The root of the recorded tree. */
-    const ProfileNode &root() const { return root_; }
-
-    /** Render the tree as an indented text report. */
-    std::string report() const;
-
-  private:
-    friend class Scope;
-
-    /** The calling thread's scope stack (created on first use). */
-    std::vector<ProfileNode *> &threadStack();
-
-    device::Session &session_;
-    TraceRecorder *trace_;
-    ProfileNode root_;
-    mutable std::mutex mutex_;
-    std::unordered_map<std::thread::id,
-                       std::unique_ptr<std::vector<ProfileNode *>>>
-        stacks_;
 };
 
 } // namespace profiling

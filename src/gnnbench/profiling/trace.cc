@@ -279,22 +279,6 @@ writeSlice(JsonWriter &w, const std::string &key,
     w.endObject();
 }
 
-void
-writeProfileNode(JsonWriter &w, const ProfileNode &node)
-{
-    w.beginObject();
-    w.value("name", node.name);
-    w.value("calls", node.calls);
-    w.value("seconds", node.slice.seconds());
-    if (!node.children.empty()) {
-        w.beginArray("children");
-        for (const auto &c : node.children)
-            writeProfileNode(w, *c);
-        w.endArray();
-    }
-    w.endObject();
-}
-
 } // namespace
 
 void
@@ -373,12 +357,6 @@ writeRunReport(const std::string &path, const RunReportContext &ctx)
         w.endObject();
     }
     w.endObject();
-    if (ctx.profile) {
-        w.beginArray("profile");
-        for (const auto &c : ctx.profile->children)
-            writeProfileNode(w, *c);
-        w.endArray();
-    }
     if (ctx.metrics)
         ctx.metrics->writeJson(w, "metrics");
     writeRooflineJson(w, "roofline", ctx.metrics);

@@ -225,8 +225,6 @@ struct RunReportContext
     std::vector<RunRecord> runs;
     /** Printed tables, exported as structured rows. */
     std::vector<std::pair<std::string, const Table *>> tables;
-    /** Optional hierarchical profile tree. */
-    const ProfileNode *profile = nullptr;
     const TraceRecorder *trace = nullptr;
     const MetricsRegistry *metrics = nullptr;
     /**
@@ -245,7 +243,7 @@ struct RunReportContext
  * Write the unified run report to @p path: a Chrome-trace-compatible
  * JSON document ("traceEvents" at top level, loadable in Perfetto /
  * chrome://tracing) whose "gnnbench" key carries the config, phase
- * slices, tables, profile tree, and metrics snapshot.  Flushes the
+ * slices, tables, and metrics snapshot.  Flushes the
  * main thread's RNG-draw tally first.  Fatal on I/O failure.
  */
 void writeRunReport(const std::string &path,

@@ -1,6 +1,4 @@
-#include "gnnbench/pygx/message_passing.h"
-
-#include "gnnbench/kernels/kernels.h"
+#include "gnnbench/pygx/batch.h"
 
 namespace gnnbench {
 namespace pygx {
@@ -70,33 +68,6 @@ NeighborBatch::validate() const
                        "neighbor batch: layer wiring broken at ", l);
     GNNBENCH_CHECK(layers.back().dstNodes == seeds,
                    "neighbor batch: seeds mismatch");
-}
-
-core::Tensor
-MessagePassing::propagate(const std::vector<NodeId> &src,
-                          const std::vector<NodeId> &dst,
-                          NodeId out_rows, const core::Tensor &x,
-                          const core::Tensor *edge_weight,
-                          const std::string &aggr,
-                          const KernelCtx &ctx) const
-{
-    GNNBENCH_CHECK(src.size() == dst.size(),
-                   "propagate: src/dst length mismatch");
-    kernels::ReduceOp op;
-    GNNBENCH_CHECK(kernels::parseReduceOp(aggr, &op),
-                   "propagate: unknown aggregator '", aggr, "'");
-    core::Tensor msgs = gather(x, src, ctx);
-    if (edge_weight)
-        msgs = mulEdgeScalar(msgs, *edge_weight, ctx);
-    switch (op) {
-    case kernels::ReduceOp::Sum:
-        return scatterSum(msgs, dst, out_rows, ctx);
-    case kernels::ReduceOp::Mean:
-        return scatterMean(msgs, dst, out_rows, ctx);
-    case kernels::ReduceOp::Max:
-        return scatterMax(msgs, dst, out_rows, ctx);
-    }
-    __builtin_unreachable();
 }
 
 } // namespace pygx

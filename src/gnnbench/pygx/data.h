@@ -25,53 +25,6 @@ namespace gnnbench {
 namespace pygx {
 
 /**
- * Modeled GPU cost constants of the pygx framework.
- *
- * PyG's gather/scatter kernels (PyTorch Scatter/Sparse) pay atomics
- * and extra materialization traffic (lower achieved bandwidth), but
- * each call carries less framework bookkeeping than DGL — the reason
- * PyG wins on small graphs on GPU (paper Observation 3).
- */
-struct Costs
-{
-    double gpuScatterEff = 0.28;  ///< atomics-limited scatter
-    double gpuGatherEff = 0.55;
-    double gpuSpmmEff = 0.42;     ///< torch_sparse CSR matmul
-    double gpuGemmEff = 0.85;
-    double gpuElemEff = 0.60;
-    double gpuCallOverhead = 15e-6;
-    /**
-     * Modeled extra CPU time (fraction of measured time) charged to
-     * pygx *sparse* kernels: the paper attributes DGL's CPU wins to
-     * the DistGNN/LIBXSMM message-passing kernel [Md et al. SC'21],
-     * whose register-blocked, prefetched loops beat torch_sparse /
-     * torch_scatter's generic loops.  On this single-core harness
-     * both implementations reach similar bandwidth, so the gap is
-     * charged explicitly (0.5 = torch kernels 1.5x slower, the
-     * low end of DistGNN's reported single-socket gains).  Dense
-     * GEMM is shared (both use the same BLAS) and exempt.
-     */
-    double cpuSparsePenalty = 0.5;
-};
-
-/** Execution context shared by pygx kernels in one run. */
-struct KernelCtx
-{
-    device::Session *session = nullptr;
-    device::DeviceType dev = device::DeviceType::CPU;
-    Costs costs;
-    /**
-     * Memory-scale compensation for the OOM model: sampled datasets
-     * are generated below full size, so materialization checks
-     * multiply by this factor (1/dataset_scale) to reproduce the
-     * paper's full-size out-of-memory behaviour.
-     */
-    double memScale = 1.0;
-
-    bool onGpu() const { return dev == device::DeviceType::GPU; }
-};
-
-/**
  * Thrown by pygx kernels when a per-edge materialization would exceed
  * the target device's memory (at full dataset scale).  This is the
  * only exception type the library throws; benchmark binaries catch it

@@ -8,64 +8,6 @@ namespace pygx {
 namespace ag = core::ag;
 using core::Tensor;
 
-const char *
-convKindName(ConvKind kind)
-{
-    switch (kind) {
-      case ConvKind::Gcn:
-        return "GCNConv";
-      case ConvKind::Gcn2:
-        return "GCN2Conv";
-      case ConvKind::Cheb:
-        return "ChebConv";
-      case ConvKind::Sage:
-        return "SAGEConv";
-      case ConvKind::Gat:
-        return "GATConv";
-      case ConvKind::Gatv2:
-        return "GATv2Conv";
-      case ConvKind::Tag:
-        return "TAGConv";
-      case ConvKind::Sg:
-        return "SGConv";
-    }
-    return "?";
-}
-
-const std::vector<ConvKind> &
-allConvKinds()
-{
-    static const std::vector<ConvKind> kinds = {
-        ConvKind::Gcn, ConvKind::Gcn2, ConvKind::Cheb, ConvKind::Sage,
-        ConvKind::Gat, ConvKind::Gatv2, ConvKind::Tag, ConvKind::Sg};
-    return kinds;
-}
-
-std::vector<float>
-gcnNormCsc(const graph::CsrGraph &csc)
-{
-    std::vector<float> inv_sqrt(csc.numRows);
-    for (NodeId v = 0; v < csc.numRows; ++v)
-        inv_sqrt[v] =
-            1.0f /
-            std::sqrt(static_cast<float>(csc.degree(v)) + 1.0f);
-    std::vector<float> w(csc.numEdges());
-    EdgeId e = 0;
-    for (NodeId d = 0; d < csc.numRows; ++d)
-        for (EdgeId i = csc.indptr[d]; i < csc.indptr[d + 1]; ++i, ++e)
-            w[e] = inv_sqrt[d] * inv_sqrt[csc.indices[i]];
-    return w;
-}
-
-std::vector<float>
-selfScaleCsc(const graph::CsrGraph &csc)
-{
-    std::vector<float> s(csc.numRows);
-    for (NodeId v = 0; v < csc.numRows; ++v)
-        s[v] = 1.0f / (static_cast<float>(csc.degree(v)) + 1.0f);
-    return s;
-}
-
 std::vector<float>
 gcnNormEdges(const std::vector<NodeId> &src,
              const std::vector<NodeId> &dst, NodeId num_nodes,
@@ -88,27 +30,6 @@ gcnNormEdges(const std::vector<NodeId> &src,
     return w;
 }
 
-Conv::Conv(std::string name, bool trainable)
-    : name_(std::move(name)), trainable_(trainable)
-{
-}
-
-Var
-Conv::addParam(Tensor t)
-{
-    params_.push_back(ag::leaf(std::move(t), trainable_));
-    return params_.back();
-}
-
-uint64_t
-Conv::paramBytes() const
-{
-    uint64_t bytes = 0;
-    for (const auto &p : params_)
-        bytes += p->value.bytes();
-    return bytes;
-}
-
 namespace {
 
 /**
@@ -125,10 +46,10 @@ propagateNormFused(const Data &data, const Var &x, const KernelCtx &ctx)
     auto w = std::make_shared<std::vector<float>>();
     std::vector<float> self;
     runPrep(ctx, static_cast<double>(csc.numEdges()), [&] {
-        *w = gcnNormCsc(csc);
-        self = selfScaleCsc(csc);
+        *w = nn::gcnNorm(csc);
+        self = nn::selfScale(csc);
     });
-    Var agg = spmmVar(csc, w->data(), borrow(csc), w, x, ctx);
+    Var agg = spmmVar(csc, w->data(), nn::borrow(csc), w, x, ctx);
     return addVar(agg, rowScaleVar(x, std::move(self), ctx), ctx);
 }
 
@@ -172,7 +93,7 @@ GcnConv::forwardBatch(const EdgeBatch &batch, const Var &x,
     });
     // Backward swaps src and dst; on the symmetric induced batch the
     // weight function is symmetric so the same array serves.
-    Var agg = propagateVar(borrow(batch.src), borrow(batch.dst), w,
+    Var agg = propagateVar(nn::borrow(batch.src), nn::borrow(batch.dst), w,
                            batch.numNodes(), batch.numNodes(), xw,
                            ctx);
     Var h = addVar(agg, rowScaleVar(xw, std::move(self), ctx), ctx);
@@ -223,8 +144,8 @@ ChebConv::forward(const Data &data, const Var &x, const KernelCtx &ctx)
                           data.numNodes(), &self);
     });
     auto hop = [&](const Var &v) {
-        Var agg = propagateVar(borrow(data.edgeSrc()),
-                               borrow(data.edgeDst()), w,
+        Var agg = propagateVar(nn::borrow(data.edgeSrc()),
+                               nn::borrow(data.edgeDst()), w,
                                data.numNodes(), data.numNodes(), v,
                                ctx);
         return addVar(agg, rowScaleVar(v, self, ctx), ctx);
@@ -257,35 +178,17 @@ SageConv::SageConv(int64_t in_dim, int64_t out_dim, core::Rng &rng,
 
 namespace {
 
-/** Mean weights per csc edge (1/in-degree of the row). */
-std::shared_ptr<std::vector<float>>
-meanWeightsCsc(const graph::CsrGraph &csc)
+/** 1/(edges into each of @p n destinations), 0 for none — the mean
+ *  normalization of an edge-index batch. */
+std::vector<float>
+invInDegree(const std::vector<NodeId> &dst, NodeId n)
 {
-    auto w = std::make_shared<std::vector<float>>(csc.numEdges());
-    EdgeId e = 0;
-    for (NodeId d = 0; d < csc.numRows; ++d) {
-        const EdgeId deg = csc.degree(d);
-        const float inv =
-            deg > 0 ? 1.0f / static_cast<float>(deg) : 0.0f;
-        for (EdgeId i = 0; i < deg; ++i, ++e)
-            (*w)[e] = inv;
-    }
-    return w;
-}
-
-/** Backward weights: 1/in-degree of the *column* endpoint. */
-std::shared_ptr<std::vector<float>>
-meanWeightsBwd(const graph::CsrGraph &csc)
-{
-    std::vector<float> inv(csc.numRows);
-    for (NodeId d = 0; d < csc.numRows; ++d) {
-        const EdgeId deg = csc.degree(d);
-        inv[d] = deg > 0 ? 1.0f / static_cast<float>(deg) : 0.0f;
-    }
-    auto w = std::make_shared<std::vector<float>>(csc.numEdges());
-    for (EdgeId e = 0; e < csc.numEdges(); ++e)
-        (*w)[e] = inv[csc.indices[e]];
-    return w;
+    std::vector<float> inv(n, 0.0f);
+    for (NodeId d : dst)
+        inv[d] += 1.0f;
+    for (auto &v : inv)
+        v = v > 0.0f ? 1.0f / v : 0.0f;
+    return inv;
 }
 
 } // namespace
@@ -296,11 +199,19 @@ SageConv::forward(const Data &data, const Var &x, const KernelCtx &ctx)
     const graph::CsrGraph &csc = data.csc();
     std::shared_ptr<std::vector<float>> w_fwd, w_bwd;
     runPrep(ctx, static_cast<double>(csc.numEdges()), [&] {
-        w_fwd = meanWeightsCsc(csc);
-        w_bwd = meanWeightsBwd(csc);
+        // Per-edge mean weights: 1/in-degree of the row forward, of
+        // the column endpoint for the backward over the same csc.
+        const std::vector<float> inv = nn::invDegree(csc);
+        w_fwd = std::make_shared<std::vector<float>>(csc.numEdges());
+        w_bwd = std::make_shared<std::vector<float>>(csc.numEdges());
+        for (NodeId d = 0; d < csc.numRows; ++d)
+            for (EdgeId e = csc.indptr[d]; e < csc.indptr[d + 1]; ++e) {
+                (*w_fwd)[e] = inv[d];
+                (*w_bwd)[e] = inv[csc.indices[e]];
+            }
     });
     Var agg =
-        spmmVar(csc, w_fwd->data(), borrow(csc), w_bwd, x, ctx);
+        spmmVar(csc, w_fwd->data(), nn::borrow(csc), w_bwd, x, ctx);
     Var h = addVar(gemmVar(x, selfWeight_, ctx),
                     gemmVar(agg, neighWeight_, ctx), ctx);
     return addBiasVar(h, bias_, ctx);
@@ -314,14 +225,9 @@ SageConv::forwardLayer(const LayerBatch &layer, const Var &x_src,
     const NodeId num_src = static_cast<NodeId>(layer.srcNodes.size());
     // Mean aggregation = unweighted scatter-sum + per-dst scaling,
     // so the backward swap stays weight-free.
-    Var agg = propagateVar(borrow(layer.eSrc), borrow(layer.eDst),
+    Var agg = propagateVar(nn::borrow(layer.eSrc), nn::borrow(layer.eDst),
                            nullptr, num_dst, num_src, x_src, ctx);
-    std::vector<float> inv(num_dst, 0.0f);
-    for (NodeId d : layer.eDst)
-        inv[d] += 1.0f;
-    for (auto &v : inv)
-        v = v > 0.0f ? 1.0f / v : 0.0f;
-    agg = rowScaleVar(agg, std::move(inv), ctx);
+    agg = rowScaleVar(agg, invInDegree(layer.eDst, num_dst), ctx);
     Var x_dst = dstRows(x_src, layer.dstNodes.size());
     Var h = addVar(gemmVar(x_dst, selfWeight_, ctx),
                     gemmVar(agg, neighWeight_, ctx), ctx);
@@ -333,14 +239,9 @@ SageConv::forwardBatch(const EdgeBatch &batch, const Var &x,
                        const KernelCtx &ctx)
 {
     const NodeId n = batch.numNodes();
-    Var agg = propagateVar(borrow(batch.src), borrow(batch.dst),
+    Var agg = propagateVar(nn::borrow(batch.src), nn::borrow(batch.dst),
                            nullptr, n, n, x, ctx);
-    std::vector<float> inv(n, 0.0f);
-    for (NodeId d : batch.dst)
-        inv[d] += 1.0f;
-    for (auto &v : inv)
-        v = v > 0.0f ? 1.0f / v : 0.0f;
-    agg = rowScaleVar(agg, std::move(inv), ctx);
+    agg = rowScaleVar(agg, invInDegree(batch.dst, n), ctx);
     Var h = addVar(gemmVar(x, selfWeight_, ctx),
                     gemmVar(agg, neighWeight_, ctx), ctx);
     return addBiasVar(h, bias_, ctx);
@@ -348,7 +249,7 @@ SageConv::forwardBatch(const EdgeBatch &batch, const Var &x,
 
 GatConv::GatConv(int64_t in_dim, int64_t out_dim, core::Rng &rng,
                  bool trainable)
-    : Conv("GATConv", trainable), MessagePassing("GATConv"),
+    : Conv("GATConv", trainable),
       weight_(addParam(Tensor::glorot(in_dim, out_dim, rng))),
       attnL_(addParam(Tensor::glorot(out_dim, 1, rng))),
       attnR_(addParam(Tensor::glorot(out_dim, 1, rng)))
@@ -384,7 +285,7 @@ GatConv::forward(const Data &data, const Var &x, const KernelCtx &ctx)
 
 Gatv2Conv::Gatv2Conv(int64_t in_dim, int64_t out_dim, core::Rng &rng,
                      bool trainable)
-    : Conv("GATv2Conv", trainable), MessagePassing("GATv2Conv"),
+    : Conv("GATv2Conv", trainable),
       weightL_(addParam(Tensor::glorot(in_dim, out_dim, rng))),
       weightR_(addParam(Tensor::glorot(in_dim, out_dim, rng))),
       attn_(addParam(Tensor::glorot(out_dim, 1, rng)))
@@ -462,31 +363,31 @@ SgConv::forward(const Data &data, const Var &x, const KernelCtx &ctx)
 }
 
 std::unique_ptr<Conv>
-makeConv(ConvKind kind, int64_t in_dim, int64_t out_dim, core::Rng &rng,
+makeConv(nn::ConvKind kind, int64_t in_dim, int64_t out_dim, core::Rng &rng,
          bool trainable)
 {
     switch (kind) {
-      case ConvKind::Gcn:
+      case nn::ConvKind::Gcn:
         return std::make_unique<GcnConv>(in_dim, out_dim, rng,
                                          trainable);
-      case ConvKind::Gcn2:
+      case nn::ConvKind::Gcn2:
         return std::make_unique<Gcn2Conv>(out_dim, 0.1f, 0.5f, rng,
                                           trainable);
-      case ConvKind::Cheb:
+      case nn::ConvKind::Cheb:
         return std::make_unique<ChebConv>(in_dim, out_dim, 3, rng,
                                           trainable);
-      case ConvKind::Sage:
+      case nn::ConvKind::Sage:
         return std::make_unique<SageConv>(in_dim, out_dim, rng,
                                           trainable);
-      case ConvKind::Gat:
+      case nn::ConvKind::Gat:
         return std::make_unique<GatConv>(in_dim, out_dim, rng, false);
-      case ConvKind::Gatv2:
+      case nn::ConvKind::Gatv2:
         return std::make_unique<Gatv2Conv>(in_dim, out_dim, rng,
                                            false);
-      case ConvKind::Tag:
+      case nn::ConvKind::Tag:
         return std::make_unique<TagConv>(in_dim, out_dim, 3, rng,
                                          trainable);
-      case ConvKind::Sg:
+      case nn::ConvKind::Sg:
         return std::make_unique<SgConv>(in_dim, out_dim, 2, rng,
                                         trainable);
     }

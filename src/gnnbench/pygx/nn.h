@@ -6,8 +6,8 @@
  * GCN-family layers (GCN, GCN2, SAGE, TAG, SG) use the torch_sparse
  * fused spmm; ChebConv, GATConv and GATv2Conv have *no* fused kernel
  * (as in PyG v2.0.4) and materialize per-edge feature tensors through
- * the gather-and-scatter MessagePassing path — which is why they OOM
- * on large graphs in the paper's Figure 5.  Sampled-batch forwards
+ * gather-and-scatter message passing — which is why they OOM on large
+ * graphs in the paper's Figure 5.  Sampled-batch forwards
  * (used by the end-to-end models) follow PyG's official examples and
  * use edge_index gather/scatter.
  */
@@ -16,54 +16,20 @@
 #define GNNBENCH_PYGX_NN_H
 
 #include <memory>
-#include <string>
 #include <vector>
 
-#include "gnnbench/pygx/message_passing.h"
+#include "gnnbench/nn/conv.h"
+#include "gnnbench/pygx/batch.h"
+#include "gnnbench/pygx/scatter.h"
 
 namespace gnnbench {
 namespace pygx {
 
 using core::ag::Var;
 
-/** The eight benchmarked convolution kinds (same set as dglx). */
-enum class ConvKind
-{
-    Gcn,
-    Gcn2,
-    Cheb,
-    Sage,
-    Gat,
-    Gatv2,
-    Tag,
-    Sg,
-};
-
-const char *convKindName(ConvKind kind);
-const std::vector<ConvKind> &allConvKinds();
-
-/** Parameter-registry base class (mirrors dglx::Conv). */
-class Conv
-{
-  public:
-    Conv(std::string name, bool trainable);
-    virtual ~Conv() = default;
-
-    /** Full-graph forward over a Data object. */
-    virtual Var forward(const Data &data, const Var &x,
-                        const KernelCtx &ctx) = 0;
-
-    const std::string &name() const { return name_; }
-    const std::vector<Var> &params() const { return params_; }
-    uint64_t paramBytes() const;
-
-  protected:
-    Var addParam(core::Tensor t);
-
-    std::string name_;
-    bool trainable_;
-    std::vector<Var> params_;
-};
+/** Base of every pygx layer: the shared parameter registry with a
+ *  full-graph forward over a Data object. */
+using Conv = nn::Conv<Data>;
 
 /** GCN layer; fused spmm on full graphs, edge_index on batches. */
 class GcnConv : public Conv
@@ -147,7 +113,7 @@ class SageConv : public Conv
 
 /** GAT layer — unfused; materializes E x F messages.
  *  Inference-only. */
-class GatConv : public Conv, protected MessagePassing
+class GatConv : public Conv
 {
   public:
     GatConv(int64_t in_dim, int64_t out_dim, core::Rng &rng,
@@ -164,7 +130,7 @@ class GatConv : public Conv, protected MessagePassing
 
 /** GATv2 layer — unfused; materializes ~3 E x F tensors.
  *  Inference-only. */
-class Gatv2Conv : public Conv, protected MessagePassing
+class Gatv2Conv : public Conv
 {
   public:
     Gatv2Conv(int64_t in_dim, int64_t out_dim, core::Rng &rng,
@@ -212,27 +178,17 @@ class SgConv : public Conv
 };
 
 /** Same factory contract as dglx::makeConv. */
-std::unique_ptr<Conv> makeConv(ConvKind kind, int64_t in_dim,
+std::unique_ptr<Conv> makeConv(nn::ConvKind kind, int64_t in_dim,
                                int64_t out_dim, core::Rng &rng,
                                bool trainable);
 
-/// @name edge-weight helpers shared with the models
-/// @{
-
-/** In-degree (+1) based symmetric GCN weights per csc edge. */
-std::vector<float> gcnNormCsc(const graph::CsrGraph &csc);
-
-/** 1/(deg+1) self scales from a csc. */
-std::vector<float> selfScaleCsc(const graph::CsrGraph &csc);
-
 /** Per-edge symmetric GCN weights for an edge list (computes degrees
- *  by counting dst endpoints). */
+ *  by counting dst endpoints), the edge_index form of nn::gcnNorm;
+ *  @p self_scale receives the matching 1/(deg+1) scales. */
 std::vector<float> gcnNormEdges(const std::vector<NodeId> &src,
                                 const std::vector<NodeId> &dst,
                                 NodeId num_nodes,
                                 std::vector<float> *self_scale);
-
-/// @}
 
 } // namespace pygx
 } // namespace gnnbench

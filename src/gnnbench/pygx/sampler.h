@@ -19,7 +19,8 @@
 
 #include "gnnbench/core/rng.h"
 #include "gnnbench/graph/partition.h"
-#include "gnnbench/pygx/message_passing.h"
+#include "gnnbench/pygx/batch.h"
+#include "gnnbench/pygx/data.h"
 
 namespace gnnbench {
 namespace pygx {

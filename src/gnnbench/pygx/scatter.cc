@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <string_view>
 
 #include "gnnbench/core/parallel.h"
 #include "gnnbench/core/timer.h"
@@ -15,7 +14,6 @@ namespace pygx {
 
 using core::Tensor;
 using core::parallel::parallelFor;
-using device::KernelDesc;
 
 namespace {
 
@@ -27,46 +25,6 @@ int64_t
 rowGrain(int64_t cols)
 {
     return std::max<int64_t>(1, (1 << 13) / std::max<int64_t>(cols, 1));
-}
-
-KernelDesc
-makeDesc(const char *name, double flops, double bytes, double eff,
-         const Costs &costs)
-{
-    KernelDesc d;
-    d.name = name;
-    d.flops = flops;
-    d.bytes = bytes;
-    d.efficiency = eff;
-    d.frameworkOverhead = costs.gpuCallOverhead;
-    return d;
-}
-
-template <typename F>
-void
-runKernel(const KernelCtx &ctx, const KernelDesc &desc, F &&fn)
-{
-    if (!ctx.session) {
-        fn();
-        return;
-    }
-    // The penalty applies only to the *fused* spmm, where torch's
-    // generic loop and DGL's tuned kernel do the same algorithmic
-    // work; the gather/scatter path is already structurally slower
-    // (materialization) and must not be double-charged.
-    const bool penalized =
-        std::string_view(desc.name) == "torch_sparse_spmm";
-    if (ctx.dev == device::DeviceType::CPU && penalized &&
-        ctx.costs.cpuSparsePenalty > 0.0) {
-        // Charge the modeled torch_sparse CPU kernel gap on top of
-        // the measured time (see Costs).
-        core::Timer t;
-        fn();
-        ctx.session->chargeCpuOverhead(t.elapsed() *
-                                       ctx.costs.cpuSparsePenalty);
-        return;
-    }
-    ctx.session->runKernel(ctx.dev, desc, std::forward<F>(fn));
 }
 
 } // namespace
@@ -100,8 +58,8 @@ gather(const Tensor &x, const std::vector<NodeId> &idx,
     checkMaterialization(static_cast<uint64_t>(e) * f * 4, ctx);
     Tensor out;
     runKernel(ctx,
-              makeDesc("gather", 0.0, 8.0 * e * f + 8.0 * e,
-                       ctx.costs.gpuGatherEff, ctx.costs),
+              nn::sparseDesc("gather", 0.0, 8.0 * e * f + 8.0 * e,
+                             ctx.costs.gpuGatherEff, ctx),
               [&] { out = kernels::gatherRows(x, idx); });
     return out;
 }
@@ -116,9 +74,9 @@ scatterSum(const Tensor &src, const std::vector<NodeId> &idx,
     const auto e = static_cast<int64_t>(idx.size());
     Tensor out;
     runKernel(ctx,
-              makeDesc("scatter_sum", static_cast<double>(e) * f,
-                       12.0 * e * f + 8.0 * e,
-                       ctx.costs.gpuScatterEff, ctx.costs),
+              nn::sparseDesc("scatter_sum", static_cast<double>(e) * f,
+                             12.0 * e * f + 8.0 * e,
+                             ctx.costs.gpuScatterEff, ctx),
               [&] {
                   // Indexed accumulation (PyG's CPU scatter path);
                   // the unified kernel keeps the ascending-edge
@@ -136,10 +94,10 @@ scatterMean(const Tensor &src, const std::vector<NodeId> &idx,
     Tensor sum = scatterSum(src, idx, out_rows, ctx);
     Tensor out;
     runKernel(ctx,
-              makeDesc("scatter_mean_div",
-                       static_cast<double>(sum.numel()),
-                       8.0 * sum.numel(), ctx.costs.gpuElemEff,
-                       ctx.costs),
+              nn::sparseDesc("scatter_mean_div",
+                             static_cast<double>(sum.numel()),
+                             8.0 * sum.numel(), ctx.costs.gpuElemEff,
+                             ctx),
               [&] {
                   out = std::move(sum);
                   std::vector<int64_t> counts(out_rows, 0);
@@ -173,9 +131,9 @@ scatterMax(const Tensor &src, const std::vector<NodeId> &idx,
     Tensor out;
     runKernel(
         ctx,
-        makeDesc("scatter_max", static_cast<double>(e) * f,
-                 12.0 * e * f + 8.0 * e, ctx.costs.gpuScatterEff,
-                 ctx.costs),
+        nn::sparseDesc("scatter_max", static_cast<double>(e) * f,
+                       12.0 * e * f + 8.0 * e, ctx.costs.gpuScatterEff,
+                       ctx),
         [&] { out = kernels::scatterMax(src, idx, out_rows); });
     return out;
 }
@@ -191,8 +149,8 @@ scatterSoftmax(const Tensor &scores, const std::vector<NodeId> &idx,
     Tensor out;
     runKernel(
         ctx,
-        makeDesc("scatter_softmax", 6.0 * e * h, 24.0 * e * h,
-                 ctx.costs.gpuScatterEff, ctx.costs),
+        nn::sparseDesc("scatter_softmax", 6.0 * e * h, 24.0 * e * h,
+                       ctx.costs.gpuScatterEff, ctx),
         [&] {
             out = Tensor::empty(e, h);
             // Three scatter passes (max, exp-sum, normalize) — the
@@ -240,10 +198,10 @@ mulEdgeScalar(const Tensor &src, const Tensor &w, const KernelCtx &ctx)
                    "mulEdgeScalar: weights must be E x 1");
     Tensor out;
     runKernel(ctx,
-              makeDesc("mul_edge_scalar",
-                       static_cast<double>(src.numel()),
-                       12.0 * src.numel(), ctx.costs.gpuElemEff,
-                       ctx.costs),
+              nn::sparseDesc("mul_edge_scalar",
+                             static_cast<double>(src.numel()),
+                             12.0 * src.numel(), ctx.costs.gpuElemEff,
+                             ctx),
               [&] {
                   out = src.clone();
                   parallelFor(0, out.rows(), rowGrain(out.cols()),
@@ -269,30 +227,27 @@ spmm(const graph::CsrGraph &csc, const Tensor &x, const float *w,
     const int64_t f = x.cols();
     const double e = static_cast<double>(csc.numEdges());
     Tensor out;
+    auto run = [&] {
+        out = kernels::spmm(csc, x, kernels::ReduceOp::Sum, w);
+    };
+    if (ctx.session && !ctx.onGpu() &&
+        ctx.costs.cpuSparsePenalty > 0.0) {
+        // Charge the modeled torch_sparse CPU kernel gap on top of the
+        // measured time.  Only this fused path pays it: here torch's
+        // generic loop and DGL's tuned kernel do the same algorithmic
+        // work, while the gather/scatter path is already structurally
+        // slower (materialization) and must not be double-charged.
+        core::Timer t;
+        run();
+        ctx.session->chargeCpuOverhead(t.elapsed() *
+                                       ctx.costs.cpuSparsePenalty);
+        return out;
+    }
     runKernel(ctx,
-              makeDesc("torch_sparse_spmm", 2.0 * e * f,
-                       4.0 * (e * f + csc.numRows * f) + 12.0 * e,
-                       ctx.costs.gpuSpmmEff, ctx.costs),
-              [&] {
-                  out = kernels::spmm(csc, x, kernels::ReduceOp::Sum,
-                                      w);
-              });
-    return out;
-}
-
-Tensor
-gemm(const Tensor &a, const Tensor &b, const KernelCtx &ctx)
-{
-    Tensor out;
-    runKernel(ctx,
-              makeDesc("gemm",
-                       2.0 * static_cast<double>(a.rows()) * a.cols() *
-                           b.cols(),
-                       4.0 * (static_cast<double>(a.rows()) * a.cols() +
-                              static_cast<double>(a.cols()) * b.cols() +
-                              static_cast<double>(a.rows()) * b.cols()),
-                       ctx.costs.gpuGemmEff, ctx.costs),
-              [&] { out = core::ops::matmul(a, b); });
+              nn::sparseDesc("torch_sparse_spmm", 2.0 * e * f,
+                             4.0 * (e * f + csc.numRows * f) + 12.0 * e,
+                             ctx.costs.gpuSpmmEff, ctx),
+              run);
     return out;
 }
 
@@ -369,117 +324,6 @@ spmmVar(const graph::CsrGraph &csc, const float *w_csc,
                 x->accumulateGrad(spmm(*bwd, n.grad, w, ctx));
             }
         });
-}
-
-core::ag::Var
-gemmVar(const core::ag::Var &a, const core::ag::Var &b,
-        const KernelCtx &ctx)
-{
-    Tensor y = gemm(a->value, b->value, ctx);
-    return core::ag::makeOp(
-        "pygx.gemm", std::move(y), {a, b},
-        [a, b, ctx](core::ag::Node &n) {
-            if (a->requiresGrad) {
-                Tensor ga;
-                runKernel(
-                    ctx,
-                    makeDesc("gemm",
-                             2.0 * static_cast<double>(n.grad.rows()) *
-                                 n.grad.cols() * b->value.rows(),
-                             0.0, ctx.costs.gpuGemmEff, ctx.costs),
-                    [&] {
-                        ga = core::ops::matmulTb(n.grad, b->value);
-                    });
-                a->accumulateGrad(ga);
-            }
-            if (b->requiresGrad) {
-                Tensor gb;
-                runKernel(
-                    ctx,
-                    makeDesc("gemm",
-                             2.0 * static_cast<double>(a->value.cols()) *
-                                 a->value.rows() * n.grad.cols(),
-                             0.0, ctx.costs.gpuGemmEff, ctx.costs),
-                    [&] {
-                        gb = core::ops::matmulTa(a->value, n.grad);
-                    });
-                b->accumulateGrad(gb);
-            }
-        });
-}
-
-namespace {
-
-void
-chargeElem(const KernelCtx &ctx, double n)
-{
-    if (!ctx.session || !ctx.onGpu())
-        return;
-    ctx.session->chargeGpuKernel(makeDesc(
-        "elementwise", 2.0 * n, 8.0 * n, ctx.costs.gpuElemEff,
-        ctx.costs));
-}
-
-core::ag::Var
-elemWrap(const KernelCtx &ctx,
-         const std::function<core::ag::Var()> &build)
-{
-    if (!ctx.session || !ctx.onGpu())
-        return build();
-    core::Timer timer;
-    core::ag::Var out = build();
-    ctx.session->excludeWall(timer.elapsed());
-    chargeElem(ctx, static_cast<double>(out->value.numel()));
-    if (out->requiresGrad && out->backwardFn) {
-        auto inner = std::move(out->backwardFn);
-        auto ctx_copy = ctx;
-        out->backwardFn = [inner = std::move(inner),
-                           ctx_copy](core::ag::Node &n) {
-            core::Timer t;
-            inner(n);
-            ctx_copy.session->excludeWall(t.elapsed());
-            chargeElem(ctx_copy,
-                       static_cast<double>(n.value.numel()));
-        };
-    }
-    return out;
-}
-
-} // namespace
-
-core::ag::Var
-addVar(const core::ag::Var &a, const core::ag::Var &b,
-       const KernelCtx &ctx)
-{
-    return elemWrap(ctx, [&] { return core::ag::add(a, b); });
-}
-
-core::ag::Var
-addBiasVar(const core::ag::Var &x, const core::ag::Var &bias,
-           const KernelCtx &ctx)
-{
-    return elemWrap(ctx, [&] { return core::ag::addBias(x, bias); });
-}
-
-core::ag::Var
-rowScaleVar(const core::ag::Var &x, std::vector<float> s,
-            const KernelCtx &ctx)
-{
-    return elemWrap(ctx, [&] {
-        return core::ag::rowScale(x, std::move(s));
-    });
-}
-
-core::ag::Var
-reluVar(const core::ag::Var &x, const KernelCtx &ctx)
-{
-    return elemWrap(ctx, [&] { return core::ag::relu(x); });
-}
-
-core::ag::Var
-scaleVar(const core::ag::Var &x, float alpha, const KernelCtx &ctx)
-{
-    return elemWrap(ctx, [&] { return core::ag::scale(x, alpha); });
 }
 
 } // namespace pygx

@@ -11,17 +11,28 @@
  * kernel for — O(E x F) memory that overflows the modeled GPU on
  * large graphs (paper Observation 3).  spmm() is the torch_sparse
  * fused path available to GCN-like layers.
+ *
+ * Every kernel is routed through the shared nn::KernelCtx with PyG's
+ * cost profile (Costs); dense GEMM, elementwise and prep ops come
+ * from the shared op layer (nn/ops.h).
  */
 
 #ifndef GNNBENCH_PYGX_SCATTER_H
 #define GNNBENCH_PYGX_SCATTER_H
 
-#include "gnnbench/core/autograd.h"
-#include "gnnbench/core/tensor.h"
+#include "gnnbench/nn/ops.h"
 #include "gnnbench/pygx/data.h"
 
 namespace gnnbench {
 namespace pygx {
+
+using nn::KernelCtx;
+
+/** `pygx::Costs{}` selects PyG's cost profile (nn::kPygxCosts). */
+struct Costs : nn::CostProfile
+{
+    Costs() : nn::CostProfile(nn::kPygxCosts) {}
+};
 
 /**
  * Raise OomError if materializing @p bytes (scaled by ctx.memScale to
@@ -64,14 +75,11 @@ core::Tensor mulEdgeScalar(const core::Tensor &src,
 /**
  * torch_sparse::matmul-style fused SpMM over an in-adjacency: a
  * straightforward (unblocked, un-unrolled) CSR loop — functional but
- * without dglx's tuned inner kernel.
+ * without dglx's tuned inner kernel.  On the CPU it is the one op that
+ * pays the profile's cpuSparsePenalty on top of its measured time.
  */
 core::Tensor spmm(const graph::CsrGraph &csc, const core::Tensor &x,
                   const float *w, const KernelCtx &ctx);
-
-/** Dense GEMM routed through the device model. */
-core::Tensor gemm(const core::Tensor &a, const core::Tensor &b,
-                  const KernelCtx &ctx);
 
 /// @name Autograd wrappers
 /// @{
@@ -93,52 +101,6 @@ core::ag::Var spmmVar(const graph::CsrGraph &csc, const float *w_csc,
                       std::shared_ptr<const graph::CsrGraph> bwd,
                       std::shared_ptr<const std::vector<float>> w_bwd,
                       const core::ag::Var &x, const KernelCtx &ctx);
-
-/** Differentiable GEMM through the device model. */
-core::ag::Var gemmVar(const core::ag::Var &a, const core::ag::Var &b,
-                      const KernelCtx &ctx);
-
-/// @name Device-routed elementwise ops (see dglx counterpart)
-/// @{
-core::ag::Var addVar(const core::ag::Var &a, const core::ag::Var &b,
-                     const KernelCtx &ctx);
-core::ag::Var addBiasVar(const core::ag::Var &x,
-                         const core::ag::Var &bias,
-                         const KernelCtx &ctx);
-core::ag::Var rowScaleVar(const core::ag::Var &x,
-                          std::vector<float> s, const KernelCtx &ctx);
-core::ag::Var reluVar(const core::ag::Var &x, const KernelCtx &ctx);
-core::ag::Var scaleVar(const core::ag::Var &x, float alpha,
-                       const KernelCtx &ctx);
-
-/**
- * Run @p fn (normalization-weight computation and similar prep) as
- * an elementwise kernel over @p elems elements on the configured
- * device.
- */
-template <typename F>
-void
-runPrep(const KernelCtx &ctx, double elems, F &&fn)
-{
-    if (!ctx.session) {
-        fn();
-        return;
-    }
-    device::KernelDesc desc;
-    desc.name = "prep";
-    desc.flops = 2.0 * elems;
-    desc.bytes = 8.0 * elems;
-    desc.efficiency = ctx.costs.gpuElemEff;
-    ctx.session->runKernel(ctx.dev, desc, std::forward<F>(fn));
-}
-
-/** Alias a long-lived object as a non-owning shared_ptr. */
-template <typename T>
-std::shared_ptr<const T>
-borrow(const T &obj)
-{
-    return std::shared_ptr<const T>(&obj, [](const T *) {});
-}
 
 /// @}
 

@@ -2,8 +2,8 @@
 
 #include "gnnbench/core/common.h"
 #include "gnnbench/core/ops.h"
-#include "gnnbench/dglx/nn.h"
 #include "gnnbench/kernels/kernels.h"
+#include "gnnbench/nn/conv.h"
 
 namespace gnnbench {
 namespace serve {
@@ -22,7 +22,7 @@ sageBlockForward(const sampling::Block &block, const Tensor &x_src,
     // differently and break the differential bit-exactness test).
     Tensor agg = kernels::spmm(block.csc, x_src,
                                kernels::ReduceOp::Sum);
-    agg = core::ops::rowScale(agg, dglx::computeInvDegree(block.csc));
+    agg = core::ops::rowScale(agg, nn::invDegree(block.csc));
     std::vector<NodeId> dst_rows(block.dstNodes.size());
     for (size_t i = 0; i < dst_rows.size(); ++i)
         dst_rows[i] = static_cast<NodeId>(i);

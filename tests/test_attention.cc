@@ -107,11 +107,11 @@ TEST(AttentionOps, GsddmmAddGradcheck)
     Tensor b = Tensor::randn(10, 2, rng);
     KernelCtx ctx;
     checkGradient(a, [&](const ag::Var &v) {
-        return toScalar(gsddmmAddVar(borrow(csc), v,
+        return toScalar(gsddmmAddVar(nn::borrow(csc), v,
                                      ag::constant(b.clone()), ctx));
     });
     checkGradient(b, [&](const ag::Var &v) {
-        return toScalar(gsddmmAddVar(borrow(csc),
+        return toScalar(gsddmmAddVar(nn::borrow(csc),
                                      ag::constant(a.clone()), v,
                                      ctx));
     });
@@ -124,7 +124,7 @@ TEST(AttentionOps, EdgeSoftmaxGradcheck)
     Tensor scores = Tensor::randn(csc.numEdges(), 1, rng);
     KernelCtx ctx;
     checkGradient(scores, [&](const ag::Var &v) {
-        return toScalar(edgeSoftmaxVar(borrow(csc), v, ctx));
+        return toScalar(edgeSoftmaxVar(nn::borrow(csc), v, ctx));
     });
 }
 
@@ -138,11 +138,11 @@ TEST(AttentionOps, GspmmEdgeScalarGradcheck)
     KernelCtx ctx;
     checkGradient(x, [&](const ag::Var &v) {
         return toScalar(gspmmEdgeScalarVar(
-            borrow(csc), v, ag::constant(att.clone()), ctx));
+            nn::borrow(csc), v, ag::constant(att.clone()), ctx));
     });
     checkGradient(att, [&](const ag::Var &v) {
         return toScalar(gspmmEdgeScalarVar(
-            borrow(csc), ag::constant(x.clone()), v, ctx));
+            nn::borrow(csc), ag::constant(x.clone()), v, ctx));
     });
 }
 
@@ -156,22 +156,22 @@ TEST(AttentionOps, AttnV2Gradcheck)
     KernelCtx ctx;
     checkGradient(zl, [&](const ag::Var &v) {
         return toScalar(gsddmmAttnV2Var(
-            borrow(csc), v, ag::constant(zr.clone()),
+            nn::borrow(csc), v, ag::constant(zr.clone()),
             ag::constant(a.clone()), 0.2f, ctx));
     });
     checkGradient(zr, [&](const ag::Var &v) {
         return toScalar(gsddmmAttnV2Var(
-            borrow(csc), ag::constant(zl.clone()), v,
+            nn::borrow(csc), ag::constant(zl.clone()), v,
             ag::constant(a.clone()), 0.2f, ctx));
     });
     checkGradient(a, [&](const ag::Var &v) {
         return toScalar(gsddmmAttnV2Var(
-            borrow(csc), ag::constant(zl.clone()),
+            nn::borrow(csc), ag::constant(zl.clone()),
             ag::constant(zr.clone()), v, 0.2f, ctx));
     });
 }
 
-class GatTraining : public ::testing::TestWithParam<ConvKind>
+class GatTraining : public ::testing::TestWithParam<nn::ConvKind>
 {
 };
 
@@ -206,14 +206,14 @@ TEST_P(GatTraining, ReducesLoss)
         ag::backward(loss);
         opt.step();
     }
-    EXPECT_LT(last, 0.7f * first) << convKindName(GetParam());
+    EXPECT_LT(last, 0.7f * first) << nn::convKindName(GetParam());
 }
 
 INSTANTIATE_TEST_SUITE_P(AttentionKinds, GatTraining,
-                         ::testing::Values(ConvKind::Gat,
-                                           ConvKind::Gatv2),
+                         ::testing::Values(nn::ConvKind::Gat,
+                                           nn::ConvKind::Gatv2),
                          [](const auto &info) {
-                             return convKindName(info.param);
+                             return nn::convKindName(info.param);
                          });
 
 TEST(AttentionOps, AttentionSumsToOneAfterTraining)
@@ -226,7 +226,7 @@ TEST(AttentionOps, AttentionSumsToOneAfterTraining)
         Tensor::randn(csc.numEdges(), 1, rng), true);
     KernelCtx ctx;
     for (int step = 0; step < 3; ++step) {
-        ag::Var att = edgeSoftmaxVar(borrow(csc), scores, ctx);
+        ag::Var att = edgeSoftmaxVar(nn::borrow(csc), scores, ctx);
         for (NodeId d = 0; d < csc.numRows; ++d) {
             if (csc.degree(d) == 0)
                 continue;

@@ -55,7 +55,7 @@ expectClose(const Tensor &a, const Tensor &b, float tol = 2e-3f)
 }
 
 class CrossFrameworkConv
-    : public ::testing::TestWithParam<dglx::ConvKind>
+    : public ::testing::TestWithParam<nn::ConvKind>
 {
 };
 
@@ -67,11 +67,10 @@ TEST_P(CrossFrameworkConv, SameWeightsSameOutput)
     // sequence in the same order.
     core::Rng wrng_d(99), wrng_p(99);
     auto dconv = dglx::makeConv(kind, 12, 8, wrng_d, false);
-    auto pconv = pygx::makeConv(
-        static_cast<pygx::ConvKind>(kind), 12, 8, wrng_p, false);
+    auto pconv = pygx::makeConv(kind, 12, 8, wrng_p, false);
 
     Tensor in = f.x.clone();
-    if (kind == dglx::ConvKind::Gcn2) {
+    if (kind == nn::ConvKind::Gcn2) {
         core::Rng prng(7);
         in = core::ops::matmul(f.x, Tensor::glorot(12, 8, prng));
         static_cast<dglx::Gcn2Conv *>(dconv.get())
@@ -91,12 +90,12 @@ TEST_P(CrossFrameworkConv, SameWeightsSameOutput)
 
 INSTANTIATE_TEST_SUITE_P(
     AllLayers, CrossFrameworkConv,
-    ::testing::Values(dglx::ConvKind::Gcn, dglx::ConvKind::Gcn2,
-                      dglx::ConvKind::Cheb, dglx::ConvKind::Sage,
-                      dglx::ConvKind::Gat, dglx::ConvKind::Gatv2,
-                      dglx::ConvKind::Tag, dglx::ConvKind::Sg),
+    ::testing::Values(nn::ConvKind::Gcn, nn::ConvKind::Gcn2,
+                      nn::ConvKind::Cheb, nn::ConvKind::Sage,
+                      nn::ConvKind::Gat, nn::ConvKind::Gatv2,
+                      nn::ConvKind::Tag, nn::ConvKind::Sg),
     [](const auto &info) {
-        return dglx::convKindName(info.param);
+        return nn::convKindName(info.param);
     });
 
 TEST(CrossFramework, GradientsAgreeForGcn)

@@ -29,13 +29,13 @@ TEST(DglxNn, AllKindsForwardShapes)
     KernelCtx ctx;
     core::Rng rng(2);
     Tensor x0 = Tensor::randn(60, 16, rng);
-    for (ConvKind kind : allConvKinds()) {
+    for (nn::ConvKind kind : nn::allConvKinds()) {
         core::Rng wrng(3);
         auto conv = makeConv(kind, 16, 8, wrng, false);
         // GCN2 is dimension-preserving: operate at dim 8 on a
         // projected input, as the bench does.
         Tensor in = x0.clone();
-        if (kind == ConvKind::Gcn2) {
+        if (kind == nn::ConvKind::Gcn2) {
             core::Rng prng(4);
             in = core::ops::matmul(x0,
                                    Tensor::glorot(16, 8, prng));
@@ -44,10 +44,10 @@ TEST(DglxNn, AllKindsForwardShapes)
         }
         ag::Var out = conv->forward(
             g, ag::constant(in.clone()), ctx);
-        EXPECT_EQ(out->value.rows(), 60) << convKindName(kind);
-        EXPECT_EQ(out->value.cols(), 8) << convKindName(kind);
+        EXPECT_EQ(out->value.rows(), 60) << nn::convKindName(kind);
+        EXPECT_EQ(out->value.cols(), 8) << nn::convKindName(kind);
         EXPECT_TRUE(std::isfinite(out->value.sum()))
-            << convKindName(kind);
+            << nn::convKindName(kind);
     }
 }
 
@@ -121,8 +121,8 @@ TEST(DglxNn, InducedForwardMatchesFullOnWholeGraph)
     Tensor x = Tensor::randn(30, 6, xrng);
 
     ag::Var full = conv.forward(g, ag::constant(x.clone()), ctx);
-    const auto norm = computeGcnNorm(g.csr());
-    const auto self = computeSelfScale(g.csr());
+    const auto norm = nn::gcnNorm(g.csr());
+    const auto self = nn::selfScale(g.csr());
     ag::Var ind = conv.forwardInduced(
         g.csr(), norm, self, ag::constant(x.clone()), ctx);
     for (int64_t i = 0; i < full->value.numel(); ++i)

@@ -29,24 +29,24 @@ opts(int cases)
     return o;
 }
 
-constexpr dglx::ConvKind kAllKinds[] = {
-    dglx::ConvKind::Gcn,  dglx::ConvKind::Gcn2,
-    dglx::ConvKind::Cheb, dglx::ConvKind::Sage,
-    dglx::ConvKind::Gat,  dglx::ConvKind::Gatv2,
-    dglx::ConvKind::Tag,  dglx::ConvKind::Sg,
+constexpr nn::ConvKind kAllKinds[] = {
+    nn::ConvKind::Gcn,  nn::ConvKind::Gcn2,
+    nn::ConvKind::Cheb, nn::ConvKind::Sage,
+    nn::ConvKind::Gat,  nn::ConvKind::Gatv2,
+    nn::ConvKind::Tag,  nn::ConvKind::Sg,
 };
 
 class ConvForward
-    : public ::testing::TestWithParam<dglx::ConvKind>
+    : public ::testing::TestWithParam<nn::ConvKind>
 {
 };
 
 /** 8 kinds x 30 cases = 240 seeded forward comparisons (tier 1). */
 TEST_P(ConvForward, AgreesAcrossFrameworks)
 {
-    const dglx::ConvKind kind = GetParam();
+    const nn::ConvKind kind = GetParam();
     EXPECT_TRUE(checkProperty(
-        std::string("conv-forward-") + dglx::convKindName(kind),
+        std::string("conv-forward-") + nn::convKindName(kind),
         [kind](const GraphCase &c) {
             return diffConvForward(kind, c, c.seed ^ 0xC0);
         },
@@ -55,10 +55,10 @@ TEST_P(ConvForward, AgreesAcrossFrameworks)
 
 TEST_P(ConvForward, AgreesAcrossFrameworksSlow)
 {
-    const dglx::ConvKind kind = GetParam();
+    const nn::ConvKind kind = GetParam();
     EXPECT_TRUE(checkProperty(
         std::string("conv-forward-slow-") +
-            dglx::convKindName(kind),
+            nn::convKindName(kind),
         [kind](const GraphCase &c) {
             return diffConvForward(kind, c, c.seed ^ 0xC1);
         },
@@ -68,7 +68,7 @@ TEST_P(ConvForward, AgreesAcrossFrameworksSlow)
 INSTANTIATE_TEST_SUITE_P(
     AllKinds, ConvForward, ::testing::ValuesIn(kAllKinds),
     [](const auto &info) {
-        return std::string(dglx::convKindName(info.param));
+        return std::string(nn::convKindName(info.param));
     });
 
 TEST(Differential, TrainStepsAgree)

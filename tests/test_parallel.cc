@@ -1,6 +1,7 @@
 /** The shared parallel substrate: chunked loops, reductions, the
  *  determinism contract across pool sizes, nested-call safety,
- *  exception propagation, and the bounded queue. */
+ *  exception propagation, fatal exits while the pool is live, and the
+ *  bounded queue. */
 
 #include <array>
 #include <atomic>
@@ -191,6 +192,25 @@ TEST(ParallelFor, UsableAgainAfterException)
             sum += e - b;
         });
         EXPECT_EQ(sum.load(), 100);
+    });
+}
+
+// A user-facing fatal error must exit with status 1 while the pool is
+// live.  Under the "fast" death-test style the child is forked without
+// the pool's worker threads, so an exit path that ran the pool's
+// static destructor would join threads that do not exist and crash.
+TEST(ParallelForDeathTest, FatalExitsCleanlyWhilePoolIsLive)
+{
+    ::testing::GTEST_FLAG(death_test_style) = "fast";
+    withThreadCounts({4}, [](int) {
+        std::atomic<int64_t> sum{0};
+        parallelFor(0, 100, 4, [&](int64_t b, int64_t e) {
+            sum += e - b;
+        });
+        ASSERT_EQ(sum.load(), 100);
+        EXPECT_EXIT(GNNBENCH_CHECK(false, "pool is live"),
+                    ::testing::ExitedWithCode(1),
+                    "fatal: .*pool is live");
     });
 }
 

@@ -1,4 +1,4 @@
-/** Tests for the phase tracker and the hierarchical profiler. */
+/** Tests for the phase tracker and the report tables. */
 
 #include <gtest/gtest.h>
 
@@ -129,65 +129,6 @@ TEST(PhaseTracker, AddWorkerKeepsTotalUnchanged)
     EXPECT_EQ(tracker.total().seconds(), before);
     EXPECT_NEAR(tracker.workerPhase(Phase::Sampling).cpuBusySeconds,
                 7.0, 1e-12);
-}
-
-TEST(Profiler, BuildsNestedTree)
-{
-    device::Session session;
-    Profiler prof(session);
-    {
-        auto outer = prof.scope("epoch");
-        {
-            auto inner = prof.scope("sample");
-            session.chargeCpuOverhead(0.1);
-        }
-        {
-            auto inner = prof.scope("train");
-            session.chargeCpuOverhead(0.3);
-        }
-        {
-            auto inner = prof.scope("sample");
-            session.chargeCpuOverhead(0.1);
-        }
-    }
-    const ProfileNode &root = prof.root();
-    ASSERT_EQ(root.children.size(), 1u);
-    const ProfileNode &epoch = *root.children[0];
-    EXPECT_EQ(epoch.name, "epoch");
-    EXPECT_EQ(epoch.calls, 1);
-    ASSERT_EQ(epoch.children.size(), 2u);  // sample merged, train
-    const ProfileNode &sample = *epoch.children[0];
-    EXPECT_EQ(sample.calls, 2);
-    EXPECT_NEAR(sample.slice.cpuBusySeconds, 0.2, 0.02);
-    EXPECT_NE(prof.report().find("epoch"), std::string::npos);
-}
-
-TEST(Profiler, ConcurrentScopesMergeIntoSharedTree)
-{
-    device::Session session;
-    Profiler prof(session);
-    constexpr int kThreads = 4;
-    constexpr int kIters = 50;
-    std::vector<std::thread> threads;
-    for (int t = 0; t < kThreads; ++t)
-        threads.emplace_back([&prof] {
-            core::parallel::WorkerThreadScope mark;
-            for (int i = 0; i < kIters; ++i) {
-                auto outer = prof.scope("produce");
-                auto inner = prof.scope("sample");
-            }
-        });
-    for (auto &t : threads)
-        t.join();
-    // All threads share one tree rooted at the same node: one
-    // "produce" child with one "sample" child, call counts exact.
-    const ProfileNode &root = prof.root();
-    ASSERT_EQ(root.children.size(), 1u);
-    const ProfileNode &produce = *root.children[0];
-    EXPECT_EQ(produce.name, "produce");
-    EXPECT_EQ(produce.calls, kThreads * kIters);
-    ASSERT_EQ(produce.children.size(), 1u);
-    EXPECT_EQ(produce.children[0]->calls, kThreads * kIters);
 }
 
 TEST(Report, TableAlignsAndRenders)

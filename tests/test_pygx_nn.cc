@@ -29,11 +29,11 @@ TEST(PygxNn, AllKindsForwardShapes)
     KernelCtx ctx;
     core::Rng rng(2);
     Tensor x0 = Tensor::randn(60, 16, rng);
-    for (ConvKind kind : allConvKinds()) {
+    for (nn::ConvKind kind : nn::allConvKinds()) {
         core::Rng wrng(3);
         auto conv = makeConv(kind, 16, 8, wrng, false);
         Tensor in = x0.clone();
-        if (kind == ConvKind::Gcn2) {
+        if (kind == nn::ConvKind::Gcn2) {
             core::Rng prng(4);
             in = core::ops::matmul(x0,
                                    Tensor::glorot(16, 8, prng));
@@ -42,10 +42,10 @@ TEST(PygxNn, AllKindsForwardShapes)
         }
         ag::Var out =
             conv->forward(data, ag::constant(in.clone()), ctx);
-        EXPECT_EQ(out->value.rows(), 60) << convKindName(kind);
-        EXPECT_EQ(out->value.cols(), 8) << convKindName(kind);
+        EXPECT_EQ(out->value.rows(), 60) << nn::convKindName(kind);
+        EXPECT_EQ(out->value.cols(), 8) << nn::convKindName(kind);
         EXPECT_TRUE(std::isfinite(out->value.sum()))
-            << convKindName(kind);
+            << nn::convKindName(kind);
     }
 }
 
@@ -193,7 +193,7 @@ TEST(PygxNn, NormHelpersConsistent)
     Data data(coo);
     // csc-based and edge-based norms must agree (graph symmetric, so
     // in-degrees equal out-degrees).
-    const auto w_csc = gcnNormCsc(data.csc());
+    const auto w_csc = nn::gcnNorm(data.csc());
     std::vector<float> self;
     const auto w_edges =
         gcnNormEdges(coo.src, coo.dst, coo.numNodes, &self);
