@@ -5,7 +5,7 @@
  *    gather+scatter composition (the CPU-kernel gap of Obs. 2/3);
  *  - dglx counting-sort format conversion vs pygx torch.sort-style
  *    conversion (the CSC-conversion cost of Obs. 2);
- *  - the dense GEMM both frameworks share.
+ *  - the dense GEMM both frameworks share, in its three layouts.
  *
  * With `--json <path>` the binary instead runs the kernel-variant
  * comparison: Reference vs Tiled vs Simd SpMM on the fig05 conv-layer
@@ -136,20 +136,37 @@ BM_PygxSortConversionCsc(benchmark::State &state)
 }
 BENCHMARK(BM_PygxSortConversionCsc);
 
+/**
+ * The dense GEMM both frameworks share, in its three layouts at the
+ * shapes of one train_sage batch (flickr: 1568 block-0 destinations,
+ * 500 features, hidden 256, 7 classes, 512 seeds).  Arg 0: forward
+ * matmul 1568x500x256; 1: weight-gradient matmulTa into 500x256 from
+ * 1568 rows; 2: input-gradient matmulTb 512x7x256.
+ */
 void
 BM_SharedDenseGemm(benchmark::State &state)
 {
     core::Rng rng(9);
-    core::Tensor a = core::Tensor::randn(2048, 256, rng);
-    core::Tensor b = core::Tensor::randn(256, 256, rng);
+    const core::Tensor x = core::Tensor::randn(1568, 500, rng);
+    const core::Tensor w = core::Tensor::randn(500, 256, rng);
+    const core::Tensor dy = core::Tensor::randn(1568, 256, rng);
+    const core::Tensor dlogits = core::Tensor::randn(512, 7, rng);
+    const core::Tensor w2 = core::Tensor::randn(256, 7, rng);
+    const int64_t layout = state.range(0);
     for (auto _ : state) {
-        auto c = core::ops::matmul(a, b);
+        core::Tensor c = layout == 0   ? core::ops::matmul(x, w)
+                         : layout == 1 ? core::ops::matmulTa(x, dy)
+                                       : core::ops::matmulTb(dlogits, w2);
         benchmark::DoNotOptimize(c.data());
     }
-    state.SetItemsProcessed(state.iterations() * 2 * 2048 * 256 *
-                            256);
+    const int64_t mkn[3] = {1568 * 500 * 256, 500 * 1568 * 256,
+                            512 * 7 * 256};
+    state.SetItemsProcessed(state.iterations() * 2 * mkn[layout]);
+    state.SetLabel(layout == 0   ? "matmul 1568x500x256"
+                   : layout == 1 ? "matmulTa 500x1568x256"
+                                 : "matmulTb 512x7x256");
 }
-BENCHMARK(BM_SharedDenseGemm);
+BENCHMARK(BM_SharedDenseGemm)->Arg(0)->Arg(1)->Arg(2);
 
 void
 BM_DglxNeighborSampleBatch(benchmark::State &state)

@@ -8,9 +8,7 @@
 # "tsan" label (see tests/CMakeLists.txt), so adding a threaded test
 # to GNNBENCH_TSAN_TESTS automatically adds it here.
 #
-# OpenMP is disabled in this configuration: TSan cannot see libgomp's
-# synchronization and would report false positives through the omp
-# pragmas; every gnnbench-owned thread goes through core/parallel and
+# Every gnnbench-owned thread goes through core/parallel and
 # sampling/prefetch, which is exactly what this script checks.
 set -euo pipefail
 
@@ -20,7 +18,6 @@ build="$repo/build-tsan"
 cmake -S "$repo" -B "$build" \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DGNNBENCH_SANITIZE=thread \
-    -DGNNBENCH_ENABLE_OPENMP=OFF \
     -DGNNBENCH_NATIVE=OFF
 
 # `ctest -N -L tsan` prints "  Test #N: <name>" lines; the sed keeps

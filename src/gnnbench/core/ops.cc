@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "gnnbench/core/parallel.h"
 
@@ -35,6 +36,176 @@ checkSameShape(const Tensor &a, const Tensor &b, const char *op)
                    a.cols(), " vs ", b.rows(), "x", b.cols());
 }
 
+// ---------------------------------------------------------------
+// GEMM: one packed, register-tiled kernel behind matmul, matmulTa
+// and matmulTb.  The three differ only in the strides through which
+// A and B are read while packing.  Every element of C is the
+// k-ascending chain c = c + a * b, computed by the one microkernel
+// below: edges are zero-padded rather than handled by a scalar tail,
+// so the result does not depend on a tile's position, on the row
+// partition or on the thread count.
+// ---------------------------------------------------------------
+
+/** Floats per SIMD register, from the ISA the build targets. */
+#if defined(__AVX512F__)
+constexpr int64_t kLanes = 16;
+#elif defined(__AVX__)
+constexpr int64_t kLanes = 8;
+#else
+constexpr int64_t kLanes = 4;
+#endif
+
+/** One SIMD register of floats (GCC vector extension). */
+typedef float VecF __attribute__((vector_size(kLanes * sizeof(float))));
+
+/** Register tile: kMR x kNR accumulators (12 registers) plus two B
+ *  vectors and one A broadcast fit the 16 registers of SSE and AVX2
+ *  as well as AVX-512's 32. */
+constexpr int64_t kMR = 6;
+constexpr int64_t kNR = 2 * kLanes;
+/** k-range of one packed block: an A and a B micro-panel stay in L1. */
+constexpr int64_t kKC = 256;
+/** Rows of C per parallel chunk (a multiple of kMR). */
+constexpr int64_t kMC = 4 * kMR;
+
+/** Read-only strided matrix view: element (r, c) is p[r * rs + c * cs]. */
+struct View
+{
+    const float *p;
+    int64_t rs, cs;
+};
+
+inline VecF
+loadVec(const float *p)
+{
+    VecF v;
+    std::memcpy(&v, p, sizeof v);
+    return v;
+}
+
+inline void
+storeVec(float *p, VecF v)
+{
+    std::memcpy(p, &v, sizeof v);
+}
+
+/**
+ * Pack a kc-long, w-wide strided block into a k-major panel W wide:
+ * out[p * W + t] = src[p * along + t * across] for t < w, and 0 for
+ * w <= t < W.
+ */
+template <int64_t W>
+void
+packPanel(const float *src, int64_t along, int64_t across, int64_t kc,
+          int64_t w, float *out)
+{
+    for (int64_t p = 0; p < kc; ++p, src += along, out += W) {
+        int64_t t = 0;
+        for (; t < w; ++t)
+            out[t] = src[t * across];
+        for (; t < W; ++t)
+            out[t] = 0.0f;
+    }
+}
+
+/**
+ * C[0:kMR, 0:kNR] (row stride ldc) += Ap * Bp over kc packed steps;
+ * with @p first, C's old contents are ignored (accumulators start at
+ * zero).  Each accumulator lane is one element's k-ascending chain.
+ */
+void
+microkernel(int64_t kc, const float *ap, const float *bp, float *c,
+            int64_t ldc, bool first)
+{
+    VecF acc[kMR][2];
+#pragma GCC unroll kMR
+    for (int64_t r = 0; r < kMR; ++r) {
+        acc[r][0] = first ? VecF{} : loadVec(c + r * ldc);
+        acc[r][1] = first ? VecF{} : loadVec(c + r * ldc + kLanes);
+    }
+    for (int64_t p = 0; p < kc; ++p, ap += kMR, bp += kNR) {
+        const VecF b0 = loadVec(bp);
+        const VecF b1 = loadVec(bp + kLanes);
+#pragma GCC unroll kMR
+        for (int64_t r = 0; r < kMR; ++r) {
+            acc[r][0] = acc[r][0] + ap[r] * b0;
+            acc[r][1] = acc[r][1] + ap[r] * b1;
+        }
+    }
+#pragma GCC unroll kMR
+    for (int64_t r = 0; r < kMR; ++r) {
+        storeVec(c + r * ldc, acc[r][0]);
+        storeVec(c + r * ldc + kLanes, acc[r][1]);
+    }
+}
+
+/**
+ * Run the microkernel on the tile of @p c at (i, j).  A tile cut by
+ * C's edge goes through a zero-padded buffer, so edge elements take
+ * the same microkernel path as interior ones.
+ */
+void
+tile(int64_t kc, const float *ap, const float *bp, Tensor &c, int64_t i,
+     int64_t j, bool first)
+{
+    const int64_t h = std::min(kMR, c.rows() - i);
+    const int64_t w = std::min(kNR, c.cols() - j);
+    if (h == kMR && w == kNR) {
+        microkernel(kc, ap, bp, c.row(i) + j, c.cols(), first);
+        return;
+    }
+    alignas(64) float buf[kMR * kNR] = {};
+    if (!first)
+        for (int64_t r = 0; r < h; ++r)
+            std::copy_n(c.row(i + r) + j, w, buf + r * kNR);
+    microkernel(kc, ap, bp, buf, kNR, first);
+    for (int64_t r = 0; r < h; ++r)
+        std::copy_n(buf + r * kNR, w, c.row(i + r) + j);
+}
+
+/**
+ * C (m x n) = A (m x k) * B (k x n).  B is packed once into
+ * kNR-column panels; each chunk of kMC rows packs its A rows per
+ * k-block and sweeps every tile of its rows.
+ */
+Tensor
+gemm(int64_t m, int64_t k, int64_t n, View a, View b)
+{
+    if (k == 0)
+        return Tensor(m, n);
+    Tensor c = Tensor::empty(m, n);
+    if (m == 0 || n == 0)
+        return c;
+    const int64_t panels = (n + kNR - 1) / kNR;
+    // One aligned row per panel: element (p, jj) at p * kNR + jj.
+    Tensor bpack = Tensor::empty(panels, k * kNR);
+    parallelFor(0, panels, std::max<int64_t>(1, kElemGrain / (k * kNR)),
+                [&](int64_t p0, int64_t p1) {
+                    for (int64_t q = p0; q < p1; ++q)
+                        packPanel<kNR>(b.p + q * kNR * b.cs, b.rs, b.cs,
+                                       k, std::min(kNR, n - q * kNR),
+                                       bpack.row(q));
+                });
+    parallelFor(0, m, kMC, [&](int64_t i0, int64_t i1) {
+        // Left uninitialized: packPanel writes every element a tile
+        // reads; zeroing 24 KB per chunk is a large share of a small GEMM.
+        alignas(64) float apack[kMC * kKC];
+        for (int64_t k0 = 0; k0 < k; k0 += kKC) {
+            const int64_t kc = std::min(kKC, k - k0);
+            for (int64_t i = i0; i < i1; i += kMR)
+                packPanel<kMR>(a.p + i * a.rs + k0 * a.cs, a.cs, a.rs, kc,
+                               std::min(kMR, i1 - i),
+                               apack + (i - i0) * kc);
+            for (int64_t q = 0; q < panels; ++q)
+                for (int64_t i = i0; i < i1; i += kMR)
+                    tile(kc, apack + (i - i0) * kc,
+                         bpack.row(q) + k0 * kNR, c, i, q * kNR,
+                         k0 == 0);
+        }
+    });
+    return c;
+}
+
 } // namespace
 
 Tensor
@@ -42,25 +213,8 @@ matmul(const Tensor &a, const Tensor &b)
 {
     GNNBENCH_CHECK(a.cols() == b.rows(), "matmul: inner dims ", a.cols(),
                    " vs ", b.rows());
-    const int64_t m = a.rows(), k = a.cols(), n = b.cols();
-    Tensor c(m, n);
-    // i-k-j loop order: streams over B rows and C rows, which is cache
-    // friendly for row-major storage and lets the compiler vectorize
-    // the inner j loop.
-    #pragma omp parallel for schedule(static)
-    for (int64_t i = 0; i < m; ++i) {
-        const float *arow = a.row(i);
-        float *crow = c.row(i);
-        for (int64_t kk = 0; kk < k; ++kk) {
-            const float av = arow[kk];
-            if (av == 0.0f)
-                continue;
-            const float *brow = b.row(kk);
-            for (int64_t j = 0; j < n; ++j)
-                crow[j] += av * brow[j];
-        }
-    }
-    return c;
+    return gemm(a.rows(), a.cols(), b.cols(), {a.data(), a.cols(), 1},
+                {b.data(), b.cols(), 1});
 }
 
 Tensor
@@ -68,26 +222,8 @@ matmulTa(const Tensor &a, const Tensor &b)
 {
     GNNBENCH_CHECK(a.rows() == b.rows(), "matmulTa: outer dims ", a.rows(),
                    " vs ", b.rows());
-    const int64_t m = a.cols(), k = a.rows(), n = b.cols();
-    Tensor c(m, n);
-    // Column-blocked: each chunk owns a disjoint j-range of C (and B),
-    // so the kk-outer accumulation order per element is exactly the
-    // serial order and results are bit-identical at any thread count.
-    parallelFor(0, n, kColGrain, [&](int64_t j0, int64_t j1) {
-        for (int64_t kk = 0; kk < k; ++kk) {
-            const float *arow = a.row(kk);
-            const float *brow = b.row(kk);
-            for (int64_t i = 0; i < m; ++i) {
-                const float av = arow[i];
-                if (av == 0.0f)
-                    continue;
-                float *crow = c.row(i);
-                for (int64_t j = j0; j < j1; ++j)
-                    crow[j] += av * brow[j];
-            }
-        }
-    });
-    return c;
+    return gemm(a.cols(), a.rows(), b.cols(), {a.data(), 1, a.cols()},
+                {b.data(), b.cols(), 1});
 }
 
 Tensor
@@ -95,21 +231,8 @@ matmulTb(const Tensor &a, const Tensor &b)
 {
     GNNBENCH_CHECK(a.cols() == b.cols(), "matmulTb: inner dims ", a.cols(),
                    " vs ", b.cols());
-    const int64_t m = a.rows(), k = a.cols(), n = b.rows();
-    Tensor c(m, n);
-    #pragma omp parallel for schedule(static)
-    for (int64_t i = 0; i < m; ++i) {
-        const float *arow = a.row(i);
-        float *crow = c.row(i);
-        for (int64_t j = 0; j < n; ++j) {
-            const float *brow = b.row(j);
-            float acc = 0.0f;
-            for (int64_t kk = 0; kk < k; ++kk)
-                acc += arow[kk] * brow[kk];
-            crow[j] = acc;
-        }
-    }
-    return c;
+    return gemm(a.rows(), a.cols(), b.rows(), {a.data(), a.cols(), 1},
+                {b.data(), 1, b.cols()});
 }
 
 Tensor

@@ -22,13 +22,20 @@ namespace gnnbench {
 namespace core {
 namespace ops {
 
-/** C = A * B. Blocked row-major matmul. */
+/**
+ * C = A * B on the packed, register-tiled GEMM.  Every element of C
+ * is the k-ascending chain c = c + a*b, whatever the thread count,
+ * its tile's position or the row partition; so matmul of a subset of
+ * A's rows reproduces those rows of the full product bit for bit.
+ */
 Tensor matmul(const Tensor &a, const Tensor &b);
 
-/** C = A^T * B. Used by matmul backward (dW = X^T dY). */
+/** C = A^T * B, bit-equal to matmul(transpose(A), B).  Used by
+ *  matmul backward (dW = X^T dY). */
 Tensor matmulTa(const Tensor &a, const Tensor &b);
 
-/** C = A * B^T. Used by matmul backward (dX = dY W^T). */
+/** C = A * B^T, bit-equal to matmul(A, transpose(B)).  Used by
+ *  matmul backward (dX = dY W^T). */
 Tensor matmulTb(const Tensor &a, const Tensor &b);
 
 /** B = A^T. */

@@ -2,9 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cmath>
+#include <cstring>
+#include <numeric>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "gnnbench/core/ops.h"
+#include "gnnbench/core/parallel.h"
 
 namespace gnnbench {
 namespace core {
@@ -37,6 +45,14 @@ expectNear(const Tensor &a, const Tensor &b, float tol = 1e-5f)
                 << "at (" << i << "," << j << ")";
 }
 
+/** Same shape and the same bit pattern in every element. */
+bool
+sameBits(const Tensor &a, const Tensor &b)
+{
+    return a.sameShape(b) &&
+           (a.empty() || std::memcmp(a.data(), b.data(), a.bytes()) == 0);
+}
+
 TEST(Ops, MatmulSmall)
 {
     Tensor a = make({{1, 2}, {3, 4}});
@@ -58,13 +74,18 @@ TEST(Ops, MatmulIdentity)
 TEST(Ops, MatmulTransposedVariantsAgree)
 {
     Rng rng(2);
-    Tensor a = Tensor::randn(5, 8, rng);
-    Tensor b = Tensor::randn(5, 3, rng);
-    // A^T B via matmulTa must equal matmul(transpose(A), B).
-    expectNear(matmulTa(a, b), matmul(transpose(a), b), 1e-4f);
-    Tensor c = Tensor::randn(4, 8, rng);
-    // A C^T via matmulTb must equal matmul(A, transpose(C)).
-    expectNear(matmulTb(a, c), matmul(a, transpose(c)), 1e-4f);
+    // The small case fits a couple of register tiles; the large one
+    // spans several tiles, k-blocks and row chunks.
+    for (auto [r, ka, nb, nc] : {std::array<int64_t, 4>{5, 8, 3, 4},
+                                 std::array<int64_t, 4>{300, 101, 70, 45}}) {
+        Tensor a = Tensor::randn(r, ka, rng);
+        Tensor b = Tensor::randn(r, nb, rng);
+        // A^T B via matmulTa must equal matmul(transpose(A), B).
+        EXPECT_TRUE(sameBits(matmulTa(a, b), matmul(transpose(a), b)));
+        Tensor c = Tensor::randn(nc, ka, rng);
+        // A C^T via matmulTb must equal matmul(A, transpose(C)).
+        EXPECT_TRUE(sameBits(matmulTb(a, c), matmul(a, transpose(c))));
+    }
 }
 
 TEST(Ops, TransposeInvolution)
@@ -229,6 +250,147 @@ TEST(Ops, CountCorrect)
     Tensor logits = make({{1, 0}, {0, 1}, {3, 2}});
     EXPECT_EQ(countCorrect(logits, {0, 1, 1}, {}), 2);
     EXPECT_EQ(countCorrect(logits, {0, 1, 1}, {2}), 0);
+}
+
+// ---------------------------------------------------------------
+// GEMM conformance.  The reference loops below are the plain serial
+// GEMMs: i-k-j for matmul and 32-column strips for matmulTa, both
+// skipping zero entries of A.  For finite inputs a skipped 0 * b term
+// never changes a sum, so the packed GEMM must match them bit for
+// bit, FMA-contracted or not (the build's contraction applies to both).
+// ---------------------------------------------------------------
+
+Tensor
+referenceMatmul(const Tensor &a, const Tensor &b)
+{
+    Tensor c(a.rows(), b.cols());
+    for (int64_t i = 0; i < a.rows(); ++i) {
+        const float *arow = a.row(i);
+        float *crow = c.row(i);
+        for (int64_t kk = 0; kk < a.cols(); ++kk) {
+            const float av = arow[kk];
+            if (av == 0.0f)
+                continue;
+            const float *brow = b.row(kk);
+            for (int64_t j = 0; j < b.cols(); ++j)
+                crow[j] += av * brow[j];
+        }
+    }
+    return c;
+}
+
+Tensor
+referenceMatmulTa(const Tensor &a, const Tensor &b)
+{
+    const int64_t m = a.cols(), n = b.cols();
+    Tensor c(m, n);
+    for (int64_t j0 = 0; j0 < n; j0 += 32) {
+        const int64_t j1 = std::min<int64_t>(n, j0 + 32);
+        for (int64_t kk = 0; kk < a.rows(); ++kk) {
+            const float *arow = a.row(kk);
+            const float *brow = b.row(kk);
+            for (int64_t i = 0; i < m; ++i) {
+                const float av = arow[i];
+                if (av == 0.0f)
+                    continue;
+                float *crow = c.row(i);
+                for (int64_t j = j0; j < j1; ++j)
+                    crow[j] += av * brow[j];
+            }
+        }
+    }
+    return c;
+}
+
+/** Normal entries, about half of them replaced by exact zeros. */
+Tensor
+halfZeros(int64_t rows, int64_t cols, Rng &rng)
+{
+    Tensor t = Tensor::randn(rows, cols, rng);
+    for (int64_t i = 0; i < t.numel(); ++i)
+        if (rng.uniformFloat() < 0.5f)
+            t.data()[i] = 0.0f;
+    return t;
+}
+
+std::string
+shapeName(int64_t m, int64_t k, int64_t n)
+{
+    return std::to_string(m) + "x" + std::to_string(k) + "x" +
+           std::to_string(n);
+}
+
+TEST(Gemm, MatchesReferenceLoopsBitForBit)
+{
+    Rng rng(14);
+    // The sizes straddle the GEMM's blocking: the 6-row register
+    // tile and 24-row parallel chunk (m), the 256-long k-block (k)
+    // and the 8-, 16- or 32-column register tile of SSE, AVX and
+    // AVX-512 builds (n), plus the empty and single cases.
+    for (int64_t m : {0, 1, 5, 6, 7, 23, 24, 25, 49})
+        for (int64_t k : {0, 1, 7, 255, 256, 257, 513})
+            for (int64_t n : {0, 1, 7, 8, 9, 16, 17, 31, 32, 33, 65}) {
+                Tensor a = halfZeros(m, k, rng);
+                Tensor b = Tensor::randn(k, n, rng);
+                EXPECT_TRUE(sameBits(matmul(a, b), referenceMatmul(a, b)))
+                    << "matmul " << shapeName(m, k, n);
+                Tensor at = transpose(a);
+                EXPECT_TRUE(
+                    sameBits(matmulTa(at, b), referenceMatmulTa(at, b)))
+                    << "matmulTa " << shapeName(m, k, n);
+            }
+}
+
+TEST(Gemm, BitsIndependentOfThreadCount)
+{
+    Rng rng(15);
+    Tensor x = halfZeros(101, 300, rng);
+    Tensor w = Tensor::randn(300, 70, rng);
+    Tensor dy = Tensor::randn(101, 70, rng);
+    auto run = [&] {
+        return std::array<Tensor, 3>{matmul(x, w), matmulTa(x, dy),
+                                     matmulTb(dy, w)};
+    };
+    const int restore = parallel::numThreads();
+    parallel::setNumThreads(1);
+    const auto want = run();
+    for (int threads : {2, 4}) {
+        parallel::setNumThreads(threads);
+        const auto got = run();
+        for (size_t v = 0; v < got.size(); ++v)
+            EXPECT_TRUE(sameBits(got[v], want[v]))
+                << "variant " << v << " at " << threads << " threads";
+    }
+    {
+        // On a worker (a serve or dataloader thread) the GEMM runs
+        // serially on the caller.
+        parallel::WorkerThreadScope worker;
+        const auto got = run();
+        for (size_t v = 0; v < got.size(); ++v)
+            EXPECT_TRUE(sameBits(got[v], want[v]))
+                << "variant " << v << " on a worker thread";
+    }
+    parallel::setNumThreads(restore);
+}
+
+TEST(Gemm, RowSliceMatchesFullProduct)
+{
+    Rng rng(16);
+    Tensor a = halfZeros(97, 300, rng);
+    Tensor b = Tensor::randn(300, 45, rng);
+    Tensor bt = transpose(b);
+    const Tensor full = matmul(a, b);
+    const Tensor fullTb = matmulTb(a, bt);
+    for (auto [r0, r1] : {std::pair<int64_t, int64_t>{0, 97}, {0, 1},
+                          {5, 31}, {13, 14}, {24, 48}, {50, 97}}) {
+        std::vector<NodeId> rows(r1 - r0);
+        std::iota(rows.begin(), rows.end(), r0);
+        const Tensor slice = gatherRows(a, rows);
+        EXPECT_TRUE(sameBits(matmul(slice, b), gatherRows(full, rows)))
+            << "matmul rows " << r0 << ".." << r1;
+        EXPECT_TRUE(sameBits(matmulTb(slice, bt), gatherRows(fullTb, rows)))
+            << "matmulTb rows " << r0 << ".." << r1;
+    }
 }
 
 /** Property sweep: matmul associativity-ish check across shapes. */
