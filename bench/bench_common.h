@@ -35,6 +35,7 @@
 #include <utility>
 #include <vector>
 
+#include "gnnbench/core/parse.h"
 #include "gnnbench/device/hierarchy.h"
 #include "gnnbench/graph/datasets.h"
 #include "gnnbench/graph/reorder.h"
@@ -107,17 +108,17 @@ parseOptions(int argc, char **argv, Options opts = Options{})
         if (arg == "--datasets") {
             opts.datasets = splitCsv(next());
         } else if (arg == "--scale") {
-            opts.scale = std::stod(next());
+            opts.scale = core::parsePositive(arg, next());
         } else if (arg == "--epochs") {
-            opts.epochs = std::stoi(next());
+            opts.epochs = core::parseInt<int>(arg, next());
         } else if (arg == "--seed") {
-            opts.seed = std::stoull(next());
+            opts.seed = core::parseInt<uint64_t>(arg, next(), 0);
         } else if (arg == "--csv") {
             opts.csvPrefix = next();
         } else if (arg == "--json") {
             opts.jsonPath = next();
         } else if (arg == "--workers") {
-            opts.numWorkers = std::stoi(next());
+            opts.numWorkers = core::parseInt<int>(arg, next(), 0);
         } else if (arg == "--kernel-variant") {
             const std::string v = next();
             kernels::KernelVariant kv;
@@ -132,10 +133,7 @@ parseOptions(int argc, char **argv, Options opts = Options{})
                 "--reorder must be one of ",
                 graph::validReorderMethodList(), ", got ", v);
         } else if (arg == "--metrics-port") {
-            opts.metricsPort = std::stoi(next());
-            GNNBENCH_CHECK(opts.metricsPort >= 0 &&
-                               opts.metricsPort <= 65535,
-                           "--metrics-port must be in [0, 65535]");
+            opts.metricsPort = core::parseInt<int>(arg, next(), 0, 65535);
         } else if (arg == "--metrics-dump") {
             opts.metricsDumpPath = next();
         } else if (arg == "--help" || arg == "-h") {

@@ -32,6 +32,7 @@
 #include <string>
 #include <vector>
 
+#include "gnnbench/core/parse.h"
 #include "gnnbench/dglx/kernels.h"
 #include "gnnbench/dglx/sampler.h"
 #include "gnnbench/graph/convert.h"
@@ -523,9 +524,9 @@ main(int argc, char **argv)
         if (arg == "--json")
             json_path = next();
         else if (arg == "--threads")
-            threads = std::stoi(next());
+            threads = core::parseInt<int>(arg, next());
         else if (arg == "--repeats")
-            repeats = std::stoi(next());
+            repeats = core::parseInt<int>(arg, next());
         else if (arg == "--reorder") {
             const std::string v = next();
             GNNBENCH_CHECK(
@@ -535,8 +536,6 @@ main(int argc, char **argv)
         }
     }
     if (!json_path.empty()) {
-        GNNBENCH_CHECK(threads >= 1 && repeats >= 1,
-                       "--threads/--repeats must be positive");
         return runVariantComparison(json_path, threads, repeats,
                                     reorder);
     }

@@ -23,6 +23,7 @@
 #include <thread>
 #include <vector>
 
+#include "gnnbench/core/parse.h"
 #include "gnnbench/dglx/dataloader.h"
 #include "gnnbench/graph/datasets.h"
 #include "gnnbench/profiling/exporter.h"
@@ -56,38 +57,6 @@ struct ServeBenchOptions
     double p99CeilingMs = 45.0;
 };
 
-int64_t
-parsePositiveCount(const std::string &arg, const std::string &value)
-{
-    size_t end = 0;
-    int64_t v = 0;
-    try {
-        v = std::stoll(value, &end);
-    } catch (...) {
-        end = 0;
-    }
-    GNNBENCH_CHECK(end == value.size() && v > 0,
-                   arg, " must be a positive integer, got '", value,
-                   "'");
-    return v;
-}
-
-double
-parsePositiveNumber(const std::string &arg, const std::string &value)
-{
-    size_t end = 0;
-    double v = 0.0;
-    try {
-        v = std::stod(value, &end);
-    } catch (...) {
-        end = 0;
-    }
-    GNNBENCH_CHECK(end == value.size() && v > 0.0,
-                   arg, " must be a positive number, got '", value,
-                   "'");
-    return v;
-}
-
 ServeBenchOptions
 parseOptions(int argc, char **argv)
 {
@@ -104,35 +73,27 @@ parseOptions(int argc, char **argv)
         if (arg == "--dataset") {
             opts.dataset = next();
         } else if (arg == "--scale") {
-            opts.scale = parsePositiveNumber(arg, next());
+            opts.scale = core::parsePositive(arg, next());
         } else if (arg == "--requests") {
-            opts.requests = parsePositiveCount(arg, next());
+            opts.requests = core::parseInt<int64_t>(arg, next());
         } else if (arg == "--warmup") {
-            opts.warmup = parsePositiveCount(arg, next());
+            opts.warmup = core::parseInt<int64_t>(arg, next());
         } else if (arg == "--hidden") {
-            opts.hidden =
-                static_cast<int>(parsePositiveCount(arg, next()));
+            opts.hidden = core::parseInt<int>(arg, next());
         } else if (arg == "--seed") {
-            opts.seed = std::stoull(next());
+            opts.seed = core::parseInt<uint64_t>(arg, next(), 0);
         } else if (arg == "--json") {
             opts.jsonPath = next();
         } else if (arg == "--metrics-port") {
-            opts.metricsPort =
-                static_cast<int>(std::stoll(next()));
-            GNNBENCH_CHECK(opts.metricsPort >= 0 &&
-                               opts.metricsPort <= 65535,
-                           "--metrics-port must be in [0, 65535]");
+            opts.metricsPort = core::parseInt<int>(arg, next(), 0, 65535);
         } else if (arg == "--metrics-dump") {
             opts.metricsDumpPath = next();
         } else if (arg == "--tenants") {
-            opts.loadCfg.tenants =
-                static_cast<int>(parsePositiveCount(arg, next()));
+            opts.loadCfg.tenants = core::parseInt<int>(arg, next());
         } else if (arg == "--target-qps") {
-            opts.loadCfg.targetQps =
-                parsePositiveNumber(arg, next());
+            opts.loadCfg.targetQps = core::parsePositive(arg, next());
         } else if (arg == "--clients") {
-            opts.loadCfg.closedLoopClients =
-                static_cast<int>(parsePositiveCount(arg, next()));
+            opts.loadCfg.closedLoopClients = core::parseInt<int>(arg, next());
         } else if (arg == "--arrival") {
             const std::string v = next();
             GNNBENCH_CHECK(
@@ -140,21 +101,17 @@ parseOptions(int argc, char **argv)
                 "--arrival must be one of ",
                 serve::validArrivalList(), ", got ", v);
         } else if (arg == "--workers") {
-            opts.serveCfg.workers =
-                static_cast<int>(parsePositiveCount(arg, next()));
+            opts.serveCfg.workers = core::parseInt<int>(arg, next());
         } else if (arg == "--max-batch") {
-            opts.serveCfg.maxBatch =
-                static_cast<int>(parsePositiveCount(arg, next()));
+            opts.serveCfg.maxBatch = core::parseInt<int>(arg, next());
         } else if (arg == "--queue-depth") {
-            opts.serveCfg.queueDepth =
-                static_cast<int>(parsePositiveCount(arg, next()));
+            opts.serveCfg.queueDepth = core::parseInt<int>(arg, next());
         } else if (arg == "--slo-ms") {
-            opts.serveCfg.sloSeconds =
-                parsePositiveNumber(arg, next()) * 1e-3;
+            opts.serveCfg.sloSeconds = core::parsePositive(arg, next()) * 1e-3;
         } else if (arg == "--qps-floor") {
-            opts.qpsFloor = parsePositiveNumber(arg, next());
+            opts.qpsFloor = core::parsePositive(arg, next());
         } else if (arg == "--p99-ceiling-ms") {
-            opts.p99CeilingMs = parsePositiveNumber(arg, next());
+            opts.p99CeilingMs = core::parsePositive(arg, next());
         } else if (arg == "--help" || arg == "-h") {
             std::printf(
                 "usage: %s [--dataset name] [--scale f] "

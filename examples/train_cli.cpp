@@ -14,6 +14,7 @@
 #include <cstring>
 #include <string>
 
+#include "gnnbench/core/parse.h"
 #include "gnnbench/io/serialize.h"
 #include "gnnbench/models/clustergcn.h"
 #include "gnnbench/models/fullbatch.h"
@@ -71,11 +72,11 @@ main(int argc, char **argv)
         else if (arg == "--dataset")
             dataset = next();
         else if (arg == "--scale")
-            scale = std::stod(next());
+            scale = core::parsePositive(arg, next());
         else if (arg == "--epochs")
-            cfg.epochs = std::stoi(next());
+            cfg.epochs = core::parseInt<int>(arg, next());
         else if (arg == "--seed")
-            cfg.seed = std::stoull(next());
+            cfg.seed = core::parseInt<uint64_t>(arg, next(), 0);
         else if (arg == "--preload")
             cfg.preloadFeatures = true;
         else if (arg == "--prefetch")

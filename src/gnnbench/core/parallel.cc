@@ -1,10 +1,11 @@
 #include "gnnbench/core/parallel.h"
 
 #include <atomic>
-#include <cstdlib>
 #include <exception>
 #include <memory>
 #include <thread>
+
+#include "gnnbench/core/parse.h"
 
 namespace gnnbench {
 namespace core {
@@ -18,14 +19,8 @@ thread_local int t_worker_depth = 0;
 int
 envThreads()
 {
-    if (const char *env = std::getenv("GNNBENCH_NUM_THREADS")) {
-        const int n = std::atoi(env);
-        if (n > 0)
-            return n;
-        warn("ignoring invalid GNNBENCH_NUM_THREADS value");
-    }
     const unsigned hw = std::thread::hardware_concurrency();
-    return hw > 0 ? static_cast<int>(hw) : 1;
+    return envInt("GNNBENCH_NUM_THREADS", hw > 0 ? static_cast<int>(hw) : 1);
 }
 
 /**

@@ -40,8 +40,9 @@ namespace core {
 namespace parallel {
 
 /**
- * Threads the global pool targets: GNNBENCH_NUM_THREADS when set to a
- * positive value, otherwise the hardware concurrency (at least 1).
+ * Threads the global pool targets: GNNBENCH_NUM_THREADS when set (a
+ * positive integer; any other value is fatal), otherwise the hardware
+ * concurrency (at least 1).
  */
 int numThreads();
 

@@ -1,11 +1,12 @@
 #include "gnnbench/device/hierarchy.h"
 
 #include <algorithm>
-#include <cerrno>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <mutex>
 
+#include "gnnbench/core/parse.h"
 #include "gnnbench/profiling/json_writer.h"
 #include "gnnbench/profiling/metrics_registry.h"
 #include "gnnbench/profiling/trace.h"
@@ -29,22 +30,6 @@ deviceOnOff(const char *name, const char *value, bool fallback)
     return fallback;
 }
 
-uint64_t
-devicePositiveBytes(const char *name, const char *value,
-                    uint64_t fallback)
-{
-    if (value == nullptr || *value == '\0')
-        return fallback;
-    errno = 0;
-    char *end = nullptr;
-    const long long v = std::strtoll(value, &end, 10);
-    GNNBENCH_CHECK(end != value && *end == '\0' && errno == 0 &&
-                       v > 0,
-                   name, " must be a positive integer, got '", value,
-                   "'");
-    return static_cast<uint64_t>(v);
-}
-
 } // namespace detail
 
 DeviceConfig
@@ -54,12 +39,11 @@ deviceConfigFromEnv()
     cfg.fusionEnabled = detail::deviceOnOff(
         "GNNBENCH_DEVICE_FUSION",
         std::getenv("GNNBENCH_DEVICE_FUSION"), cfg.fusionEnabled);
-    cfg.l2Bytes = detail::devicePositiveBytes(
-        "GNNBENCH_DEVICE_L2_BYTES",
-        std::getenv("GNNBENCH_DEVICE_L2_BYTES"), cfg.l2Bytes);
-    cfg.tileBytes = detail::devicePositiveBytes(
-        "GNNBENCH_DEVICE_TILE_BYTES",
-        std::getenv("GNNBENCH_DEVICE_TILE_BYTES"), cfg.tileBytes);
+    constexpr uint64_t kMaxBytes = std::numeric_limits<int64_t>::max();
+    cfg.l2Bytes = core::envInt<uint64_t>("GNNBENCH_DEVICE_L2_BYTES",
+                                         cfg.l2Bytes, 1, kMaxBytes);
+    cfg.tileBytes = core::envInt<uint64_t>("GNNBENCH_DEVICE_TILE_BYTES",
+                                           cfg.tileBytes, 1, kMaxBytes);
     GNNBENCH_CHECK(cfg.tileBytes <= cfg.l2Bytes,
                    "GNNBENCH_DEVICE_TILE_BYTES (", cfg.tileBytes,
                    ") must not exceed GNNBENCH_DEVICE_L2_BYTES (",

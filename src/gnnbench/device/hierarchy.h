@@ -82,10 +82,6 @@ namespace detail {
 /** Parse an on/off env value; fatal listing the valid values. */
 bool deviceOnOff(const char *name, const char *value, bool fallback);
 
-/** Parse a positive byte-count env value; fatal on anything else. */
-uint64_t devicePositiveBytes(const char *name, const char *value,
-                             uint64_t fallback);
-
 } // namespace detail
 
 /** Stage timing constants of the modeled hierarchy. */

@@ -54,46 +54,6 @@ Graph::gcnNormCsr() const
     return gcnNormCsr_;
 }
 
-const std::vector<float> &
-Graph::meanNormCsc() const
-{
-    if (meanNormCsc_.empty() && numEdges() > 0) {
-        meanNormCsc_.resize(numEdges());
-        EdgeId e = 0;
-        for (NodeId v = 0; v < csc_.numRows; ++v) {
-            const float inv =
-                inDeg_[v] > 0
-                    ? 1.0f / static_cast<float>(inDeg_[v])
-                    : 0.0f;
-            for (EdgeId i = csc_.indptr[v]; i < csc_.indptr[v + 1];
-                 ++i, ++e) {
-                meanNormCsc_[e] = inv;
-            }
-        }
-    }
-    return meanNormCsc_;
-}
-
-const std::vector<float> &
-Graph::meanNormCsr() const
-{
-    if (meanNormCsr_.empty() && numEdges() > 0) {
-        meanNormCsr_.resize(numEdges());
-        EdgeId e = 0;
-        for (NodeId u = 0; u < csr_.numRows; ++u) {
-            for (EdgeId i = csr_.indptr[u]; i < csr_.indptr[u + 1];
-                 ++i, ++e) {
-                const NodeId v = csr_.indices[i];
-                meanNormCsr_[e] =
-                    inDeg_[v] > 0
-                        ? 1.0f / static_cast<float>(inDeg_[v])
-                        : 0.0f;
-            }
-        }
-    }
-    return meanNormCsr_;
-}
-
 uint64_t
 Graph::structureBytes() const
 {

@@ -51,13 +51,6 @@ class Graph
     /** Same weights aligned with the CSR traversal order. */
     const std::vector<float> &gcnNormCsr() const;
 
-    /** Mean-aggregation weights (1/in-degree of dst) in CSC order. */
-    const std::vector<float> &meanNormCsc() const;
-
-    /** Mean-aggregation backward weights in CSR order
-     *  (1/in-degree of the destination endpoint of each edge). */
-    const std::vector<float> &meanNormCsr() const;
-
     /** Total bytes of the graph structure (for transfer modeling). */
     uint64_t structureBytes() const;
 
@@ -69,8 +62,6 @@ class Graph
     std::vector<EdgeId> outDeg_;
     mutable std::vector<float> gcnNormCsc_;
     mutable std::vector<float> gcnNormCsr_;
-    mutable std::vector<float> meanNormCsc_;
-    mutable std::vector<float> meanNormCsr_;
 };
 
 } // namespace dglx

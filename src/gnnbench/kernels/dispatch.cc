@@ -57,24 +57,6 @@ validVariantList()
 }
 
 bool
-parseReduceOp(std::string_view name, ReduceOp *out)
-{
-    if (name == "sum" || name == "add") {
-        *out = ReduceOp::Sum;
-        return true;
-    }
-    if (name == "mean") {
-        *out = ReduceOp::Mean;
-        return true;
-    }
-    if (name == "max") {
-        *out = ReduceOp::Max;
-        return true;
-    }
-    return false;
-}
-
-bool
 parseVariant(std::string_view name, KernelVariant *out)
 {
     if (name == "auto") {

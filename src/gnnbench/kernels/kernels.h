@@ -76,9 +76,6 @@ const char *variantName(KernelVariant v);
 /** "auto/reference/tiled/simd" — for error messages and help text. */
 const char *validVariantList();
 
-/** Parse "sum"/"mean"/"max"; false on unknown. */
-bool parseReduceOp(std::string_view name, ReduceOp *out);
-
 /** Parse a name from validVariantList(); false on unknown. */
 bool parseVariant(std::string_view name, KernelVariant *out);
 

@@ -1,103 +1,48 @@
 #include "gnnbench/models/fullbatch.h"
 
-#include "gnnbench/core/optim.h"
-#include "gnnbench/dglx/dataloader.h"
-#include "gnnbench/dglx/nn.h"
-#include "gnnbench/pygx/dataloader.h"
-#include "gnnbench/pygx/nn.h"
+#include "gnnbench/models/driver.h"
 
 namespace gnnbench {
 namespace models {
 
-namespace ag = core::ag;
-using profiling::Phase;
+namespace {
 
+template <typename FW>
 FullBatchResult
-trainFullBatchSage(const graph::Dataset &dataset, Framework framework,
-                   RunMode mode, int measured_epochs, uint64_t seed)
+runFullBatch(const graph::Dataset &dataset, RunMode mode,
+             int measured_epochs, uint64_t seed)
 {
-    GNNBENCH_CHECK(mode == RunMode::CPU || mode == RunMode::GPU,
-                   "full-batch training runs on CPU or GPU");
-    GNNBENCH_CHECK(measured_epochs > 0, "need at least one epoch");
-
     device::Session session;
     profiling::PhaseTracker tracker(session);
     core::Rng rng(seed);
-    const auto dev = mode == RunMode::GPU ? device::DeviceType::GPU
-                                          : device::DeviceType::CPU;
+    const nn::KernelCtx ctx = FW::kernelCtx(
+        session,
+        mode == RunMode::GPU ? device::DeviceType::GPU
+                             : device::DeviceType::CPU,
+        dataset);
 
     // Everything below up to the measured loop is setup: loading,
     // model init, (for GPU) one-time movement, one warmup epoch.
-    dglx::LoadedData dgl_ld;
-    pygx::LoadedData pyg_ld;
-    std::unique_ptr<dglx::SageConv> dgl_l1, dgl_l2;
-    std::unique_ptr<pygx::SageConv> pyg_l1, pyg_l2;
-    std::unique_ptr<core::Adam> opt;
-    dglx::KernelCtx dgl_ctx{&session, dev, dglx::Costs{}};
-    pygx::KernelCtx pyg_ctx{&session, dev, pygx::Costs{},
-                            1.0 / dataset.scale};
-
     core::Rng wrng = rng.fork();
-    std::vector<ag::Var> params;
-    if (framework == Framework::Dglx) {
-        dgl_ld = dglx::DataLoader::load(dataset);
-        dgl_l1 = std::make_unique<dglx::SageConv>(
-            dataset.info.numFeatures, 256, wrng);
-        dgl_l2 = std::make_unique<dglx::SageConv>(
-            256, dataset.info.numClasses, wrng);
-        params = dgl_l1->params();
-        params.insert(params.end(), dgl_l2->params().begin(),
-                      dgl_l2->params().end());
-    } else {
-        pyg_ld = pygx::DataLoader::load(dataset);
-        pyg_l1 = std::make_unique<pygx::SageConv>(
-            dataset.info.numFeatures, 256, wrng);
-        pyg_l2 = std::make_unique<pygx::SageConv>(
-            256, dataset.info.numClasses, wrng);
-        params = pyg_l1->params();
-        params.insert(params.end(), pyg_l2->params().begin(),
-                      pyg_l2->params().end());
-        pyg_ld.data->csc();  // conversion happens at setup here
-    }
-    opt = std::make_unique<core::Adam>(params, 1e-3f);
-
-    const core::Tensor &features = framework == Framework::Dglx
-                                       ? dgl_ld.features
-                                       : pyg_ld.features;
-    const std::vector<int32_t> &labels = framework == Framework::Dglx
-                                             ? dgl_ld.labels
-                                             : pyg_ld.labels;
-    const std::vector<NodeId> &train_idx =
-        framework == Framework::Dglx ? dgl_ld.trainIdx
-                                     : pyg_ld.trainIdx;
-
+    const typename FW::Loaded ld = FW::load(dataset);
+    driver::TwoLayerModel<FW, typename FW::SageConv> model(
+        dataset.info.numFeatures, 256, dataset.info.numClasses, wrng,
+        1e-3f);
     if (mode == RunMode::GPU)
-        session.transfer(features.bytes());
+        session.transfer(ld.features.bytes());
 
-    auto run_epoch = [&]() {
-        ag::Var x = ag::leaf(features.clone(), false);
-        ag::Var h, out;
-        if (framework == Framework::Dglx) {
-            h = dgl_l1->forward(*dgl_ld.graph, x, dgl_ctx);
-            h = ag::relu(h);
-            out = dgl_l2->forward(*dgl_ld.graph, h, dgl_ctx);
-        } else {
-            h = pyg_l1->forward(*pyg_ld.data, x, pyg_ctx);
-            h = ag::relu(h);
-            out = pyg_l2->forward(*pyg_ld.data, h, pyg_ctx);
-        }
-        ag::Var lp = ag::logSoftmax(out);
-        ag::Var loss = ag::nllLoss(lp, labels, train_idx);
-        opt->zeroGrad();
-        ag::backward(loss);
-        opt->step();
+    auto run_epoch = [&] {
+        core::ag::Var out =
+            model.forward(FW::graph(ld), ld.features.clone(), ctx);
+        model.update(core::ag::nllLoss(core::ag::logSoftmax(out),
+                                       ld.labels, ld.trainIdx));
     };
 
-    run_epoch();  // warmup (also pays any lazy conversion remnants)
+    run_epoch();  // warmup (also pays pygx's lazy CSC conversion)
 
     const auto t0 = session.snapshot();
     {
-        auto s = tracker.track(Phase::Training);
+        auto s = tracker.track(profiling::Phase::Training);
         for (int e = 0; e < measured_epochs; ++e)
             run_epoch();
     }
@@ -105,7 +50,7 @@ trainFullBatchSage(const graph::Dataset &dataset, Framework framework,
         profiling::sliceBetween(t0, session.snapshot());
 
     FullBatchResult result;
-    result.config = configName(framework, mode);
+    result.config = configName(FW::kFramework, mode);
     result.secondsPerEpoch = slice.seconds() / measured_epochs;
     const power::PowerModel pm(power::PowerSpec{},
                                mode == RunMode::GPU);
@@ -116,6 +61,22 @@ trainFullBatchSage(const graph::Dataset &dataset, Framework framework,
     per_epoch.xferSeconds /= measured_epochs;
     result.energyPerEpoch = pm.energyOf(per_epoch);
     return result;
+}
+
+} // namespace
+
+FullBatchResult
+trainFullBatchSage(const graph::Dataset &dataset, Framework framework,
+                   RunMode mode, int measured_epochs, uint64_t seed)
+{
+    GNNBENCH_CHECK(mode == RunMode::CPU || mode == RunMode::GPU,
+                   "full-batch training runs on CPU or GPU");
+    GNNBENCH_CHECK(measured_epochs > 0, "need at least one epoch");
+    if (framework == Framework::Dglx)
+        return runFullBatch<driver::Dglx>(dataset, mode, measured_epochs,
+                                          seed);
+    return runFullBatch<driver::Pygx>(dataset, mode, measured_epochs,
+                                      seed);
 }
 
 } // namespace models

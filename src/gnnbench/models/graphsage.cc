@@ -1,323 +1,163 @@
 #include "gnnbench/models/graphsage.h"
 
-#include "gnnbench/core/optim.h"
-#include "gnnbench/dglx/dataloader.h"
 #include "gnnbench/dglx/gpu_sampler.h"
-#include "gnnbench/dglx/nn.h"
-#include "gnnbench/models/feature_fetch.h"
-#include "gnnbench/pygx/dataloader.h"
-#include "gnnbench/pygx/nn.h"
-#include "gnnbench/pygx/sampler.h"
+#include "gnnbench/models/driver.h"
 
 namespace gnnbench {
 namespace models {
 
-namespace ag = core::ag;
-using profiling::Phase;
-
 namespace {
 
-/** Labels of the seed nodes, in batch order. */
-std::vector<int32_t>
-seedLabels(const std::vector<int32_t> &labels,
-           const std::vector<NodeId> &seeds)
+using driver::SeedBatches;
+
+/** What GraphSAGE's samplers share: shuffled batches of training
+ *  seeds, one sampled layer per conv, every seed carrying loss. */
+template <typename FW>
+class SeedBatching
 {
-    std::vector<int32_t> out(seeds.size());
-    for (size_t i = 0; i < seeds.size(); ++i)
-        out[i] = labels[seeds[i]];
-    return out;
-}
+  public:
+    using Framework = FW;
+    using Conv = typename FW::SageConv;
 
-TrainResult
-runDglx(const graph::Dataset &dataset, const TrainConfig &cfg,
-        device::Session &session, profiling::PhaseTracker &tracker)
+    SeedBatching(const typename FW::Loaded &ld, const TrainConfig &cfg)
+        : cfg_(cfg), trainIdx_(ld.trainIdx)
+    {
+    }
+
+    int
+    batchesPerEpoch() const
+    {
+        return static_cast<int>(
+            (trainIdx_.size() + cfg_.batchSize - 1) / cfg_.batchSize);
+    }
+
+    template <typename Batch>
+    static const std::vector<NodeId> &
+    inputNodes(const Batch &batch)
+    {
+        return batch.inputNodes();
+    }
+
+    template <typename Batch>
+    static std::optional<driver::Supervision>
+    supervise(const Batch &batch, const std::vector<int32_t> &labels)
+    {
+        driver::Supervision sup;
+        for (NodeId v : batch.seeds)
+            sup.labels.push_back(labels[v]);
+        return sup;
+    }
+
+  protected:
+    SeedBatches
+    shuffledSeeds(core::Rng &rng) const
+    {
+        return makeBatches(trainIdx_, cfg_.batchSize, rng);
+    }
+
+    const TrainConfig &cfg_;
+
+  private:
+    const std::vector<NodeId> &trainIdx_;
+};
+
+/** CPU sampling behind the framework's prefetching loader. */
+template <typename FW>
+class NeighborSampling : public SeedBatching<FW>
 {
-    GNNBENCH_CHECK(cfg.fanouts.size() == 2,
-                   "GraphSAGE model uses two layers / two fanouts");
-    core::Rng rng(cfg.seed);
-
-    dglx::LoadedData ld;
+  public:
+    NeighborSampling(const typename FW::Loaded &ld,
+                     const graph::Dataset &, const TrainConfig &cfg,
+                     core::Rng rng, device::Session &session)
+        : SeedBatching<FW>(ld, cfg),
+          sampler_(FW::template make<typename FW::NeighborSampler>(
+              session, FW::graph(ld), cfg.fanouts, rng))
     {
-        auto s = tracker.track(Phase::DataLoading);
-        ld = dglx::DataLoader::load(dataset);
-    }
-    const dglx::Graph &g = *ld.graph;
-
-    const auto train_dev = usesGpu(cfg.mode)
-                               ? device::DeviceType::GPU
-                               : device::DeviceType::CPU;
-    dglx::KernelCtx ctx{&session, train_dev, dglx::Costs{}};
-
-    core::Rng wrng = rng.fork();
-    dglx::SageConv layer1(dataset.info.numFeatures, cfg.hiddenDim,
-                          wrng);
-    dglx::SageConv layer2(cfg.hiddenDim, dataset.info.numClasses,
-                          wrng);
-    std::vector<ag::Var> params = layer1.params();
-    params.insert(params.end(), layer2.params().begin(),
-                  layer2.params().end());
-    core::Adam opt(params, cfg.lr);
-
-    // One-time data movement: initial model, plus graph + features
-    // when pre-loading (mandatory for the GPU-resident sampler).
-    // The feature matrix is registered with the memory hierarchy so
-    // per-batch gathers walk the cache tiers; pre-loading streams its
-    // tiles into the VRAM tier up front.
-    const bool preloaded =
-        cfg.preloadFeatures || cfg.mode == RunMode::GPU;
-    device::FeatureRegion feat_region;
-    if (usesGpu(cfg.mode)) {
-        auto s = tracker.track(Phase::DataMovement);
-        feat_region = session.registerRegion(ld.features.rows(),
-                                             ld.features.cols() * 4);
-        uint64_t bytes = layer1.paramBytes() + layer2.paramBytes();
-        if (preloaded) {
-            bytes += g.structureBytes();
-            session.preloadRegion(feat_region);
-        }
-        session.transfer(bytes);
-        const uint64_t resident =
-            bytes + (preloaded ? ld.features.bytes() : 0);
-        GNNBENCH_CHECK(session.reserveGpu(resident),
-                       "graph + features exceed GPU memory; "
-                       "pre-loading infeasible");
     }
 
-    // Sampler construction (cheap for dglx).
-    std::unique_ptr<dglx::NeighborSampler> cpu_sampler;
-    std::unique_ptr<dglx::GpuNeighborSampler> gpu_sampler;
+    std::unique_ptr<typename FW::NeighborLoader>
+    makeLoader(core::Rng &rng, device::Session &session)
     {
-        auto s = tracker.track(Phase::Sampling);
-        core::Rng srng = rng.fork();
-        if (cfg.mode == RunMode::GPU ||
-            cfg.mode == RunMode::UVAGPU) {
-            const auto gmode = cfg.mode == RunMode::GPU
-                                   ? dglx::GpuNeighborSampler::
-                                         Mode::GpuResident
-                                   : dglx::GpuNeighborSampler::
-                                         Mode::Uva;
-            gpu_sampler = std::make_unique<dglx::GpuNeighborSampler>(
-                g, cfg.fanouts, srng, gmode, session);
-        } else {
-            cpu_sampler = std::make_unique<dglx::NeighborSampler>(
-                g, cfg.fanouts, srng);
-        }
+        return FW::template make<typename FW::NeighborLoader>(
+            session, *sampler_, rng, this->shuffledSeeds(rng),
+            this->cfg_.numWorkers, this->cfg_.prefetchDepth);
     }
 
-    TrainResult result;
-    double prev_train_seconds = 0.0;
-    for (int epoch = 0; epoch < cfg.epochs; ++epoch) {
-        EpochStats es;
-        auto seed_batches =
-            makeBatches(ld.trainIdx, cfg.batchSize, rng);
-        // CPU sampling always goes through the loader so batch RNG
-        // streams depend only on batch index: num_workers scales
-        // prefetch overlap (0 = inline) without changing results.
-        std::unique_ptr<dglx::NeighborLoader> loader;
-        if (cpu_sampler) {
-            auto s = tracker.track(Phase::Sampling);
-            loader = std::make_unique<dglx::NeighborLoader>(
-                *cpu_sampler, rng, seed_batches, cfg.numWorkers,
-                cfg.prefetchDepth);
-        }
-        for (auto &seeds : seed_batches) {
-            sampling::NeighborSample smp;
-            {
-                auto s = tracker.track(Phase::Sampling);
-                if (loader) {
-                    auto got = loader->next();
-                    GNNBENCH_CHECK(got.has_value(),
-                                   "prefetch loader exhausted early");
-                    smp = std::move(*got);
-                } else {
-                    smp = gpu_sampler->sample(seeds);
-                }
-            }
-            // The GPU-resident sampler already produces the blocks in
-            // device memory; otherwise the structure must move.
-            const uint64_t structure_bytes =
-                (cfg.mode == RunMode::GPU ||
-                 cfg.mode == RunMode::UVAGPU)
-                    ? 0
-                    : smp.structureBytes();
-            core::Tensor x = fetchFeatures(
-                ld.features, smp.inputNodes(), cfg.mode, preloaded,
-                cfg.prefetch, prev_train_seconds, session, tracker,
-                structure_bytes, &feat_region);
+  private:
+    std::unique_ptr<typename FW::NeighborSampler> sampler_;
+};
 
-            const auto t0 = session.snapshot();
-            {
-                auto s = tracker.track(Phase::Training);
-                ag::Var xv = ag::leaf(std::move(x), false);
-                ag::Var h =
-                    layer1.forwardBlock(smp.blocks[0], xv, ctx);
-                h = ag::relu(h);
-                ag::Var out =
-                    layer2.forwardBlock(smp.blocks[1], h, ctx);
-                ag::Var lp = ag::logSoftmax(out);
-                auto labels = seedLabels(ld.labels, seeds);
-                es.correct += core::ops::countCorrect(out->value,
-                                                      labels, {});
-                es.total +=
-                    static_cast<int64_t>(seeds.size());
-                ag::Var loss = ag::nllLoss(lp, std::move(labels), {});
-                es.loss += loss->value(0, 0) *
-                           static_cast<double>(seeds.size());
-                opt.zeroGrad();
-                ag::backward(loss);
-                opt.step();
-            }
-            prev_train_seconds =
-                device::Session::virtualSeconds(t0,
-                                                session.snapshot());
-        }
-        if (loader)
-            chargeWorkerSampling(tracker, *loader);
-        es.loss /= std::max<int64_t>(es.total, 1);
-        result.epochs.push_back(es);
-    }
-
-    TrainResult final = finalizeResult(Framework::Dglx, cfg.mode,
-                                       tracker, power::PowerSpec{});
-    final.epochs = std::move(result.epochs);
-    return final;
-}
-
-TrainResult
-runPygx(const graph::Dataset &dataset, const TrainConfig &cfg,
-        device::Session &session, profiling::PhaseTracker &tracker)
+/**
+ * DGL's GPU sampler (GPU and UVAGPU modes): each seed batch is
+ * sampled inline on the modeled device, with no loader and no worker
+ * time.  Its blocks are built in device memory, so fetchFeatures
+ * moves no structure in these modes.
+ */
+class GpuNeighborSampling : public SeedBatching<driver::Dglx>
 {
-    GNNBENCH_CHECK(cfg.mode == RunMode::CPU ||
-                       cfg.mode == RunMode::CPUGPU,
-                   "PyG has no GPU/UVA sampler (paper Section 4.3)");
-    core::Rng rng(cfg.seed);
-
-    pygx::LoadedData ld;
+  public:
+    /** The epoch's seed batches, sampled one by one. */
+    class Loader
     {
-        auto s = tracker.track(Phase::DataLoading);
-        ld = pygx::DataLoader::load(dataset);
-    }
-
-    const auto train_dev = usesGpu(cfg.mode)
-                               ? device::DeviceType::GPU
-                               : device::DeviceType::CPU;
-    pygx::KernelCtx ctx{&session, train_dev, pygx::Costs{},
-                        1.0 / dataset.scale};
-
-    core::Rng wrng = rng.fork();
-    pygx::SageConv layer1(dataset.info.numFeatures, cfg.hiddenDim,
-                          wrng);
-    pygx::SageConv layer2(cfg.hiddenDim, dataset.info.numClasses,
-                          wrng);
-    std::vector<ag::Var> params = layer1.params();
-    params.insert(params.end(), layer2.params().begin(),
-                  layer2.params().end());
-    core::Adam opt(params, cfg.lr);
-
-    const bool preloaded = cfg.preloadFeatures;
-    device::FeatureRegion feat_region;
-    if (usesGpu(cfg.mode)) {
-        auto s = tracker.track(Phase::DataMovement);
-        feat_region = session.registerRegion(ld.features.rows(),
-                                             ld.features.cols() * 4);
-        uint64_t bytes = layer1.paramBytes() + layer2.paramBytes();
-        if (preloaded) {
-            bytes += ld.data->structureBytes();
-            session.preloadRegion(feat_region);
-        }
-        session.transfer(bytes);
-        const uint64_t resident =
-            bytes + (preloaded ? ld.features.bytes() : 0);
-        GNNBENCH_CHECK(session.reserveGpu(resident),
-                       "graph + features exceed GPU memory; "
-                       "pre-loading infeasible");
-    }
-
-    std::unique_ptr<pygx::NeighborSampler> sampler;
-    {
-        // Includes the CSR->CSC conversion PyG's loader performs.
-        auto s = tracker.track(Phase::Sampling);
-        sampler = std::make_unique<pygx::NeighborSampler>(
-            *ld.data, cfg.fanouts, rng.fork(), &session);
-    }
-
-    TrainResult result;
-    double prev_train_seconds = 0.0;
-    for (int epoch = 0; epoch < cfg.epochs; ++epoch) {
-        EpochStats es;
-        auto seed_batches =
-            makeBatches(ld.trainIdx, cfg.batchSize, rng);
-        // All sampling goes through the loader so batch RNG streams
-        // depend only on batch index: num_workers scales prefetch
-        // overlap (0 = inline) without changing results; next()
-        // charges the workers' modeled interpreter time here.
-        std::unique_ptr<pygx::NeighborLoader> loader;
+      public:
+        Loader(dglx::GpuNeighborSampler &sampler, SeedBatches seeds)
+            : sampler_(sampler), seeds_(std::move(seeds))
         {
-            auto s = tracker.track(Phase::Sampling);
-            loader = std::make_unique<pygx::NeighborLoader>(
-                *sampler, rng, seed_batches, cfg.numWorkers,
-                cfg.prefetchDepth, &session);
         }
-        for (auto &seeds : seed_batches) {
-            pygx::NeighborBatch batch;
-            {
-                auto s = tracker.track(Phase::Sampling);
-                auto got = loader->next();
-                GNNBENCH_CHECK(got.has_value(),
-                               "prefetch loader exhausted early");
-                batch = std::move(*got);
-            }
-            core::Tensor x = fetchFeatures(
-                ld.features, batch.inputNodes(), cfg.mode, preloaded,
-                cfg.prefetch, prev_train_seconds, session, tracker,
-                batch.structureBytes(), &feat_region);
 
-            const auto t0 = session.snapshot();
-            {
-                auto s = tracker.track(Phase::Training);
-                ag::Var xv = ag::leaf(std::move(x), false);
-                ag::Var h =
-                    layer1.forwardLayer(batch.layers[0], xv, ctx);
-                h = ag::relu(h);
-                ag::Var out =
-                    layer2.forwardLayer(batch.layers[1], h, ctx);
-                ag::Var lp = ag::logSoftmax(out);
-                auto labels = seedLabels(ld.labels, seeds);
-                es.correct += core::ops::countCorrect(out->value,
-                                                      labels, {});
-                es.total += static_cast<int64_t>(seeds.size());
-                ag::Var loss = ag::nllLoss(lp, std::move(labels), {});
-                es.loss += loss->value(0, 0) *
-                           static_cast<double>(seeds.size());
-                opt.zeroGrad();
-                ag::backward(loss);
-                opt.step();
-            }
-            prev_train_seconds =
-                device::Session::virtualSeconds(t0,
-                                                session.snapshot());
+        std::optional<sampling::NeighborSample>
+        next()
+        {
+            if (next_ == seeds_.size())
+                return std::nullopt;
+            return sampler_.sample(seeds_[next_++]);
         }
-        chargeWorkerSampling(tracker, *loader);
-        es.loss /= std::max<int64_t>(es.total, 1);
-        result.epochs.push_back(es);
+
+        std::vector<double> workerBusySeconds() const { return {}; }
+
+      private:
+        dglx::GpuNeighborSampler &sampler_;
+        SeedBatches seeds_;
+        size_t next_ = 0;
+    };
+
+    GpuNeighborSampling(const dglx::LoadedData &ld,
+                        const graph::Dataset &, const TrainConfig &cfg,
+                        core::Rng rng, device::Session &session)
+        : SeedBatching(ld, cfg),
+          sampler_(*ld.graph, cfg.fanouts, rng,
+                   cfg.mode == RunMode::GPU
+                       ? dglx::GpuNeighborSampler::Mode::GpuResident
+                       : dglx::GpuNeighborSampler::Mode::Uva,
+                   session)
+    {
     }
 
-    TrainResult final = finalizeResult(Framework::Pygx, cfg.mode,
-                                       tracker, power::PowerSpec{});
-    final.epochs = std::move(result.epochs);
-    return final;
-}
+    std::unique_ptr<Loader>
+    makeLoader(core::Rng &rng, device::Session &)
+    {
+        return std::make_unique<Loader>(sampler_, shuffledSeeds(rng));
+    }
+
+  private:
+    dglx::GpuNeighborSampler sampler_;
+};
 
 } // namespace
 
 TrainResult
 trainGraphSage(const graph::Dataset &dataset, const TrainConfig &cfg)
 {
-    device::Session session;
-    profiling::PhaseTracker tracker(session);
-    if (cfg.framework == Framework::Dglx)
-        return runDglx(dataset, cfg, session, tracker);
-    return runPygx(dataset, cfg, session, tracker);
+    // DGL's GPU sampler draws the batches of Figures 20-21.
+    const bool gpu_sampled =
+        cfg.mode == RunMode::GPU || cfg.mode == RunMode::UVAGPU;
+    GNNBENCH_CHECK(cfg.framework == Framework::Dglx || !gpu_sampled,
+                   "PyG has no GPU/UVA sampler (paper Section 4.3)");
+    GNNBENCH_CHECK(cfg.fanouts.size() == 2,
+                   "GraphSAGE model uses two layers / two fanouts");
+    if (gpu_sampled)
+        return driver::runPipeline<GpuNeighborSampling>(dataset, cfg);
+    return driver::runPipeline<NeighborSampling>(dataset, cfg);
 }
 
 } // namespace models

@@ -165,7 +165,7 @@ measureFmaPeak()
     // Consume the accumulators so the chains cannot be elided.
     volatile float sink = 0.0f;
     for (int l = 0; l < kLanes; ++l)
-        sink += x[l];
+        sink = sink + x[l];
     (void)sink;
     return best;
 }

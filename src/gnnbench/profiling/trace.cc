@@ -146,7 +146,8 @@ TraceRecorder::recordSynthetic(const std::string &lane_name,
     std::lock_guard lock(lane.mutex);
     lane.events.push_back(TraceEvent{std::move(name), category,
                                      start_seconds,
-                                     std::max(0.0, duration_seconds)});
+                                     std::max(0.0, duration_seconds),
+                                     {}});
 }
 
 std::vector<TraceRecorder::LaneView>

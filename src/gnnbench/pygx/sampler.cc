@@ -20,47 +20,6 @@ constexpr int64_t kDrawChunk = 256; // i.i.d. CDF draws per chunk
 constexpr int64_t kNodeChunk = 64;  // induced-subgraph nodes per chunk
 
 /**
- * Interpreted-style induced-subgraph extraction (PyG's
- * torch_geometric.utils.subgraph over Python data structures):
- * hash-map relabeling and per-edge list appends, charging the
- * modeled interpreter cost per elementary step.
- */
-EdgeBatch
-extractInducedPy(const graph::CsrGraph &csr, std::vector<NodeId> nodes,
-                 const PyOverheadModel &overhead,
-                 device::Session *session)
-{
-    // Deliberately serial: this path models GIL-bound Python loops,
-    // which cannot use the thread pool.
-    EdgeBatch out;
-    out.nodes = std::move(nodes);
-    std::unordered_map<NodeId, NodeId> local;
-    local.reserve(out.nodes.size() * 2);
-    // The relabeling kernels themselves run in C extensions
-    // (torch_geometric.utils.subgraph -> torch ops); the interpreter
-    // cost is the Python glue around them: a few ops per node plus a
-    // small per-scanned-edge factor for the mask construction.
-    int64_t ops = 3 * static_cast<int64_t>(out.nodes.size());
-    for (size_t i = 0; i < out.nodes.size(); ++i)
-        local.emplace(out.nodes[i], static_cast<NodeId>(i));
-    int64_t scanned = 0;
-    for (size_t i = 0; i < out.nodes.size(); ++i) {
-        const NodeId u = out.nodes[i];
-        scanned += csr.indptr[u + 1] - csr.indptr[u];
-        for (EdgeId e = csr.indptr[u]; e < csr.indptr[u + 1]; ++e) {
-            const auto it = local.find(csr.indices[e]);
-            if (it != local.end()) {
-                out.src.push_back(static_cast<NodeId>(i));
-                out.dst.push_back(it->second);
-            }
-        }
-    }
-    ops += scanned / 4;
-    overhead.charge(session, ops);
-    return out;
-}
-
-/**
  * C-extension-style induced extraction (PyG routes ClusterLoader and
  * SAINT subgraph construction through torch / torch_sparse C++ ops):
  * flat dense relabeling array, edge_index output.  Only the Python

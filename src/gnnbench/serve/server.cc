@@ -5,6 +5,7 @@
 #include <unordered_set>
 
 #include "gnnbench/core/ops.h"
+#include "gnnbench/core/parse.h"
 #include "gnnbench/core/rng.h"
 #include "gnnbench/profiling/metrics_registry.h"
 #include "gnnbench/profiling/trace.h"
@@ -12,55 +13,25 @@
 namespace gnnbench {
 namespace serve {
 
-namespace detail {
+namespace {
 
-int
-servePositiveInt(const char *name, const char *value, int fallback)
-{
-    if (!value || !*value)
-        return fallback;
-    char *end = nullptr;
-    const long v = std::strtol(value, &end, 10);
-    GNNBENCH_CHECK(end && *end == '\0' && v > 0 && v <= 1 << 20,
-                   name, " must be a positive integer, got '", value,
-                   "'");
-    return static_cast<int>(v);
-}
+/** Upper bound of the integer GNNBENCH_SERVE_* knobs. */
+constexpr int kMaxServeKnob = 1 << 20;
 
-double
-servePositiveMs(const char *name, const char *value,
-                double fallback_ms)
-{
-    if (!value || !*value)
-        return fallback_ms;
-    char *end = nullptr;
-    const double v = std::strtod(value, &end);
-    GNNBENCH_CHECK(end && *end == '\0' && v > 0.0,
-                   name, " must be a positive number of "
-                   "milliseconds, got '", value, "'");
-    return v;
-}
-
-} // namespace detail
+} // namespace
 
 ServeConfig
 applyServeEnv(ServeConfig config)
 {
-    config.workers = detail::servePositiveInt(
-        "GNNBENCH_SERVE_WORKERS",
-        std::getenv("GNNBENCH_SERVE_WORKERS"), config.workers);
-    config.maxBatch = detail::servePositiveInt(
-        "GNNBENCH_SERVE_MAX_BATCH",
-        std::getenv("GNNBENCH_SERVE_MAX_BATCH"), config.maxBatch);
-    config.queueDepth = detail::servePositiveInt(
-        "GNNBENCH_SERVE_QUEUE_DEPTH",
-        std::getenv("GNNBENCH_SERVE_QUEUE_DEPTH"),
-        config.queueDepth);
-    config.sloSeconds =
-        detail::servePositiveMs("GNNBENCH_SERVE_SLO_MS",
-                                std::getenv("GNNBENCH_SERVE_SLO_MS"),
-                                config.sloSeconds * 1e3) *
-        1e-3;
+    config.workers = core::envInt("GNNBENCH_SERVE_WORKERS",
+                                  config.workers, 1, kMaxServeKnob);
+    config.maxBatch = core::envInt("GNNBENCH_SERVE_MAX_BATCH",
+                                   config.maxBatch, 1, kMaxServeKnob);
+    config.queueDepth = core::envInt("GNNBENCH_SERVE_QUEUE_DEPTH",
+                                     config.queueDepth, 1, kMaxServeKnob);
+    config.sloSeconds = core::envPositive("GNNBENCH_SERVE_SLO_MS",
+                                          config.sloSeconds * 1e3) *
+                        1e-3;
     return config;
 }
 

@@ -105,19 +105,6 @@ struct ServeConfig
  */
 ServeConfig applyServeEnv(ServeConfig config);
 
-namespace detail {
-
-/** Parse one positive-integer env value ("" / null = @p fallback);
- *  fatal with the knob name on malformed or non-positive input. */
-int servePositiveInt(const char *name, const char *value,
-                     int fallback);
-
-/** Parse one positive-double env value (milliseconds knobs). */
-double servePositiveMs(const char *name, const char *value,
-                       double fallback_ms);
-
-} // namespace detail
-
 /**
  * The serving instance.  Construction starts the worker pool and the
  * response collector; requests are admitted immediately, but no

@@ -84,7 +84,7 @@ TEST(Session, CpuKernelCountsWallTime)
     s.runKernel(DeviceType::CPU, KernelDesc{}, [] {
         volatile double x = 0;
         for (int i = 0; i < 2000000; ++i)
-            x += i;
+            x = x + i;
     });
     const auto b = s.snapshot();
     EXPECT_GT(Session::virtualSeconds(a, b), 0.0);
@@ -100,7 +100,7 @@ TEST(Session, GpuKernelExcludesWallChargesModel)
     s.runKernel(DeviceType::GPU, d, [] {
         volatile double x = 0;
         for (int i = 0; i < 2000000; ++i)
-            x += i;
+            x = x + i;
     });
     const auto b = s.snapshot();
     const double virt = Session::virtualSeconds(a, b);

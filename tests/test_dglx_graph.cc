@@ -74,18 +74,6 @@ TEST(DglxGraph, NormArraysSymmetricGraphConsistent)
         ASSERT_NEAR(a[i], b[i], 1e-6f);
 }
 
-TEST(DglxGraph, MeanNormIsInverseDegree)
-{
-    Graph g(smallGraph(5));
-    const auto &w = g.meanNormCsc();
-    const auto &csc = g.csc();
-    EdgeId e = 0;
-    for (NodeId d = 0; d < g.numNodes(); ++d)
-        for (EdgeId i = csc.indptr[d]; i < csc.indptr[d + 1];
-             ++i, ++e)
-            ASSERT_NEAR(w[e], 1.0f / csc.degree(d), 1e-6f);
-}
-
 TEST(DglxGraph, StructureBytesCountsAllFormats)
 {
     Graph g(smallGraph(6));

@@ -488,17 +488,6 @@ TEST(KernelMaxArg, RecordsFirstMaximalSource)
 
 TEST(KernelDispatch, ParseAndNames)
 {
-    ReduceOp op;
-    EXPECT_TRUE(parseReduceOp("sum", &op));
-    EXPECT_EQ(op, ReduceOp::Sum);
-    EXPECT_TRUE(parseReduceOp("add", &op));
-    EXPECT_EQ(op, ReduceOp::Sum);
-    EXPECT_TRUE(parseReduceOp("mean", &op));
-    EXPECT_EQ(op, ReduceOp::Mean);
-    EXPECT_TRUE(parseReduceOp("max", &op));
-    EXPECT_EQ(op, ReduceOp::Max);
-    EXPECT_FALSE(parseReduceOp("min", &op));
-
     KernelVariant v;
     for (KernelVariant k :
          {KernelVariant::Auto, KernelVariant::Reference,

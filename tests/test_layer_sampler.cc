@@ -177,8 +177,9 @@ TEST(LayerSamplers, WeightsAreUnbiasedScale)
             w_high = layer.edgeWeights[e];
         }
     }
-    if (lo_deg < hi_deg)
+    if (lo_deg < hi_deg) {
         EXPECT_GT(w_low, w_high);
+    }
 }
 
 } // namespace

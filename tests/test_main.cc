@@ -17,6 +17,7 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "gnnbench/core/parse.h"
 #include "test_support.h"
 
 namespace gnnbench {
@@ -25,12 +26,8 @@ namespace testenv {
 uint64_t
 seed()
 {
-    static const uint64_t s = [] {
-        if (const char *env = std::getenv("GNNBENCH_TEST_SEED"))
-            return static_cast<uint64_t>(
-                std::strtoull(env, nullptr, 10));
-        return static_cast<uint64_t>(42);
-    }();
+    static const uint64_t s =
+        core::envInt<uint64_t>("GNNBENCH_TEST_SEED", 42, 0);
     return s;
 }
 

@@ -10,13 +10,21 @@
  * only, never on feature values, so the pins are independent of the
  * test seed.  The relative tolerance absorbs FMA-contraction
  * differences between build flavours.
+ *
+ * The same holds one level up: TrainingPipelines pins every training
+ * pipeline's modeled seconds phase by phase.
  */
 
 #include <gtest/gtest.h>
 
+#include <array>
+
 #include "gnnbench/device/hierarchy.h"
 #include "gnnbench/dglx/nn.h"
 #include "gnnbench/graph/generate.h"
+#include "gnnbench/models/clustergcn.h"
+#include "gnnbench/models/graphsage.h"
+#include "gnnbench/models/graphsaint.h"
 #include "gnnbench/pygx/nn.h"
 
 namespace gnnbench {
@@ -177,6 +185,170 @@ TEST(ModeledCharges, CpuSparsePenaltyIsPygxOnly)
                                 dglx::Costs{}});
     EXPECT_EQ(ds.snapshot().modeled.cpuOverheadSeconds, 0.0);
     EXPECT_EQ(ds.snapshot().modeled.gpuSeconds, 0.0);
+}
+
+/**
+ * One tiny run per supported (model, framework, mode, preload) on
+ * ppi x0.05.  The training driver decides which phase each step's
+ * work is charged to and how a batch's features reach the device, so
+ * a change to either moves one of these pins.  Prefetch stays off:
+ * its overlap credit comes from measured time.  Losses are not pinned
+ * here because FMA contraction changes them between build flavours.
+ */
+struct PipelinePin
+{
+    const char *name;
+    models::TrainResult (*train)(const graph::Dataset &,
+                                 const models::TrainConfig &);
+    models::Framework fw;
+    models::RunMode mode;
+    bool preload;
+    /** {gpuBusySeconds, gpuUtilSeconds, xferSeconds} per phase. */
+    std::array<std::array<double, 3>, profiling::kNumPhases> phases;
+};
+
+using models::Framework;
+using models::RunMode;
+
+const PipelinePin kPipelinePins[] = {
+    {"SageDglCPU", &models::trainGraphSage, Framework::Dglx,
+     RunMode::CPU, false, {}},
+    {"SageDglCPUGPU", &models::trainGraphSage, Framework::Dglx,
+     RunMode::CPUGPU, false,
+     {{{},
+       {},
+       {0, 0, 0.00010791866666666667},
+       {0.0025655943351583039, 0.00025655943351583077, 0},
+       {}}}},
+    {"SageDglCPUGPUPreload", &models::trainGraphSage, Framework::Dglx,
+     RunMode::CPUGPU, true,
+     {{{},
+       {4.0774022412698514e-05, 1.6309608965079361e-05, 0},
+       {0, 0, 0.00010525133333333335},
+       {0.0025655943351583039, 0.00025655943351583066, 0},
+       {}}}},
+    {"SageDglGPU", &models::trainGraphSage, Framework::Dglx,
+     RunMode::GPU, false,
+     {{{},
+       {0.00030471972731745968, 9.0010455712036819e-05, 0},
+       {0, 0, 5.2352333333333337e-05},
+       {0.0025654239376962894, 0.00025654239376962922, 0},
+       {}}}},
+    {"SageDglUVAGPU", &models::trainGraphSage, Framework::Dglx,
+     RunMode::UVAGPU, false,
+     {{{},
+       {0.00068807851699999984, 0.00013685221887020378, 0},
+       {0, 0, 1.1869666666666667e-05},
+       {0.0025654239376962894, 0.00025654239376962906, 0},
+       {}}}},
+    {"SagePygCPU", &models::trainGraphSage, Framework::Pygx,
+     RunMode::CPU, false, {}},
+    {"SagePygCPUGPU", &models::trainGraphSage, Framework::Pygx,
+     RunMode::CPUGPU, false,
+     {{{},
+       {},
+       {0, 0, 0.00011546533333333333},
+       {0.0026130418380988746, 0.00026910434048493906, 0},
+       {}}}},
+    {"SagePygCPUGPUPreload", &models::trainGraphSage, Framework::Pygx,
+     RunMode::CPUGPU, true,
+     {{{},
+       {4.0755782031746108e-05, 1.63023128126984e-05, 0},
+       {0, 0, 0.00010282200000000001},
+       {0.0026130418380988746, 0.00026910434048493912, 0},
+       {}}}},
+    {"ClusterDglCPU", &models::trainClusterGcn, Framework::Dglx,
+     RunMode::CPU, false, {}},
+    {"ClusterDglCPUGPU", &models::trainClusterGcn, Framework::Dglx,
+     RunMode::CPUGPU, false,
+     {{{},
+       {},
+       {0, 0, 6.7240000000000014e-05},
+       {0.0031079212414056537, 0.00031079212414056534, 0},
+       {}}}},
+    {"ClusterDglCPUGPUPreload", &models::trainClusterGcn, Framework::Dglx,
+     RunMode::CPUGPU, true,
+     {{{},
+       {3.524975003174575e-05, 1.4099900012698427e-05, 0},
+       {0, 0, 9.4072666666666671e-05},
+       {0.0031079212414056537, 0.00031079212414056529, 0},
+       {}}}},
+    {"ClusterPygCPU", &models::trainClusterGcn, Framework::Pygx,
+     RunMode::CPU, false, {}},
+    {"ClusterPygCPUGPU", &models::trainClusterGcn, Framework::Pygx,
+     RunMode::CPUGPU, false,
+     {{{},
+       {},
+       {0, 0, 6.5639666666666668e-05},
+       {0.0028554556324347888, 0.00028554556324347926, 0},
+       {}}}},
+    {"ClusterPygCPUGPUPreload", &models::trainClusterGcn, Framework::Pygx,
+     RunMode::CPUGPU, true,
+     {{{},
+       {3.4940434920635111e-05, 1.3976173968253951e-05, 0},
+       {0, 0, 8.3879666666666669e-05},
+       {0.0028554556324347888, 0.00028554556324347931, 0},
+       {}}}},
+    {"SaintDglCPU", &models::trainGraphSaint, Framework::Dglx,
+     RunMode::CPU, false, {}},
+    {"SaintDglCPUGPU", &models::trainGraphSaint, Framework::Dglx,
+     RunMode::CPUGPU, false,
+     {{{},
+       {},
+       {0, 0, 5.4961666666666673e-05},
+       {0.0023467726737967909, 0.00023467726737967919, 0},
+       {}}}},
+    {"SaintDglCPUGPUPreload", &models::trainGraphSaint, Framework::Dglx,
+     RunMode::CPUGPU, true,
+     {{{},
+       {2.6597835936507992e-05, 1.0639134374603178e-05, 0},
+       {0, 0, 8.5111000000000019e-05},
+       {0.0023467726737967914, 0.00023467726737967914, 0},
+       {}}}},
+    {"SaintPygCPU", &models::trainGraphSaint, Framework::Pygx,
+     RunMode::CPU, false, {}},
+    {"SaintPygCPUGPU", &models::trainGraphSaint, Framework::Pygx,
+     RunMode::CPUGPU, false,
+     {{{},
+       {},
+       {0, 0, 5.8796666666666672e-05},
+       {0.0023953517414238429, 0.00029001002727181046, 0},
+       {}}}},
+    {"SaintPygCPUGPUPreload", &models::trainGraphSaint, Framework::Pygx,
+     RunMode::CPUGPU, true,
+     {{{},
+       {2.6665837142857032e-05, 1.0666334857142844e-05, 0},
+       {0, 0, 7.8553333333333339e-05},
+       {0.0023953517414238429, 0.00029001002727181029, 0},
+       {}}}},
+};
+
+TEST(ModeledCharges, TrainingPipelines)
+{
+    const graph::Dataset ds = graph::loadDataset("ppi", 0.05, 5);
+    for (const PipelinePin &pin : kPipelinePins) {
+        SCOPED_TRACE(pin.name);
+        models::TrainConfig cfg;
+        cfg.framework = pin.fw;
+        cfg.mode = pin.mode;
+        cfg.preloadFeatures = pin.preload;
+        cfg.epochs = 1;
+        cfg.hiddenDim = 16;
+        cfg.batchSize = 128;
+        cfg.numParts = 20;
+        cfg.clustersPerBatch = 5;
+        cfg.saintRoots = 100;
+        const models::TrainResult r = pin.train(ds, cfg);
+        for (int p = 0; p < profiling::kNumPhases; ++p) {
+            SCOPED_TRACE(profiling::phaseName(
+                static_cast<profiling::Phase>(p)));
+            const power::ActivitySlice &got = r.phases[p];
+            const std::array<double, 3> &want = pin.phases[p];
+            EXPECT_NEAR(got.gpuBusySeconds, want[0], 1e-12 * want[0]);
+            EXPECT_NEAR(got.gpuUtilSeconds, want[1], 1e-12 * want[1]);
+            EXPECT_NEAR(got.xferSeconds, want[2], 1e-12 * want[2]);
+        }
+    }
 }
 
 } // namespace

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include "gnnbench/core/parallel.h"
+#include "gnnbench/core/parse.h"
 #include "gnnbench/core/rng.h"
 
 namespace gnnbench {
@@ -253,6 +254,73 @@ TEST(BoundedQueue, CloseWakesBlockedConsumer)
     });
     q.close();
     consumer.join();
+}
+
+// Every numeric GNNBENCH_* knob (GNNBENCH_NUM_THREADS among them) and
+// bench flag goes through parseInt / parsePositive.  Each malformed
+// form exits 1 naming the knob and the accepted form: no partial read
+// of "4x" as 4, no silent fallback, no uncaught exception.
+TEST(ParseDeathTest, MalformedIntegersAreFatal)
+{
+    for (const char *v : {"abc", "4x", "2abc", "", " 4", "4 ", "+4", "1.5",
+                          "0", "-3", "99999999999999999999"}) {
+        SCOPED_TRACE(v);
+        EXPECT_EXIT(parseInt<int>("GNNBENCH_NUM_THREADS", v),
+                    ::testing::ExitedWithCode(1),
+                    "GNNBENCH_NUM_THREADS must be a positive integer, "
+                    "got '");
+    }
+    EXPECT_EXIT(parseInt<int>("--metrics-port", "65536", 0, 65535),
+                ::testing::ExitedWithCode(1),
+                "--metrics-port must be a non-negative integer, got "
+                "'65536' \\(at most 65535\\)");
+    EXPECT_EXIT(parseInt<uint64_t>("--seed", "-1", 0),
+                ::testing::ExitedWithCode(1),
+                "--seed must be a non-negative integer, got '-1'");
+}
+
+TEST(ParseDeathTest, MalformedNumbersAreFatal)
+{
+    for (const char *v :
+         {"abc", "0.5x", "", " 1", "0", "-0.5", "nan", "inf", "1e999"}) {
+        SCOPED_TRACE(v);
+        EXPECT_EXIT(parsePositive("--scale", v),
+                    ::testing::ExitedWithCode(1),
+                    "--scale must be a positive number, got '");
+    }
+}
+
+TEST(ParseDeathTest, MalformedEnvValueIsFatal)
+{
+    EXPECT_EXIT(
+        {
+            setenv("PARSE_TEST_KNOB", "4x", 1);
+            envInt("PARSE_TEST_KNOB", 2);
+        },
+        ::testing::ExitedWithCode(1),
+        "PARSE_TEST_KNOB must be a positive integer, got '4x'");
+}
+
+TEST(Parse, AcceptsWholeNumbersInRange)
+{
+    EXPECT_EQ(parseInt<int>("--epochs", "8"), 8);
+    EXPECT_EQ(parseInt<int>("--workers", "0", 0), 0);
+    EXPECT_EQ(parseInt<int>("--metrics-port", "65535", 0, 65535), 65535);
+    EXPECT_EQ(parseInt<uint64_t>("--seed", "18446744073709551615", 0),
+              UINT64_MAX);
+    EXPECT_EQ(parsePositive("--scale", "0.5"), 0.5);
+    EXPECT_EQ(parsePositive("--scale", "1e-3"), 1e-3);
+
+    // Unset and empty environment values keep the fallback.
+    unsetenv("PARSE_TEST_KNOB");
+    EXPECT_EQ(envInt("PARSE_TEST_KNOB", 3), 3);
+    setenv("PARSE_TEST_KNOB", "", 1);
+    EXPECT_EQ(envInt("PARSE_TEST_KNOB", 3), 3);
+    EXPECT_EQ(envPositive("PARSE_TEST_KNOB", 50.0), 50.0);
+    setenv("PARSE_TEST_KNOB", "12", 1);
+    EXPECT_EQ(envInt("PARSE_TEST_KNOB", 3), 12);
+    EXPECT_EQ(envPositive("PARSE_TEST_KNOB", 50.0), 12.0);
+    unsetenv("PARSE_TEST_KNOB");
 }
 
 TEST(Parallel, NumThreadsPositiveAndAdjustable)

@@ -19,7 +19,7 @@ spin()
 {
     volatile double x = 0;
     for (int i = 0; i < 500000; ++i)
-        x += i;
+        x = x + i;
 }
 
 TEST(PhaseTracker, AttributesToPhases)

@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include "gnnbench/core/ops.h"
+#include "gnnbench/core/parse.h"
 #include "gnnbench/dglx/dataloader.h"
 #include "gnnbench/dglx/nn.h"
 #include "gnnbench/graph/datasets.h"
@@ -164,35 +165,41 @@ TEST(WeightStore, MakeSageWeightsShapesAndDeterminism)
 
 TEST(ServeEnv, MalformedWorkerCountIsFatal)
 {
-    EXPECT_EXIT(serve::detail::servePositiveInt(
-                    "GNNBENCH_SERVE_WORKERS", "many", 2),
+    EXPECT_EXIT(core::parseInt<int>("GNNBENCH_SERVE_WORKERS", "many"),
                 ::testing::ExitedWithCode(1),
                 "GNNBENCH_SERVE_WORKERS must be a positive integer");
 }
 
 TEST(ServeEnv, NonPositiveQueueDepthIsFatal)
 {
-    EXPECT_EXIT(serve::detail::servePositiveInt(
-                    "GNNBENCH_SERVE_QUEUE_DEPTH", "0", 1024),
+    EXPECT_EXIT(core::parseInt<int>("GNNBENCH_SERVE_QUEUE_DEPTH", "0"),
                 ::testing::ExitedWithCode(1),
                 "GNNBENCH_SERVE_QUEUE_DEPTH must be a positive");
 }
 
 TEST(ServeEnv, MalformedSloIsFatal)
 {
-    EXPECT_EXIT(serve::detail::servePositiveMs(
-                    "GNNBENCH_SERVE_SLO_MS", "5ms", 50.0),
+    EXPECT_EXIT(core::parsePositive("GNNBENCH_SERVE_SLO_MS", "5ms"),
                 ::testing::ExitedWithCode(1),
                 "GNNBENCH_SERVE_SLO_MS must be a positive number");
 }
 
 TEST(ServeEnv, UnsetAndValidValuesApply)
 {
-    EXPECT_EQ(serve::detail::servePositiveInt("X", nullptr, 3), 3);
-    EXPECT_EQ(serve::detail::servePositiveInt("X", "", 3), 3);
-    EXPECT_EQ(serve::detail::servePositiveInt("X", "8", 3), 8);
-    EXPECT_EQ(serve::detail::servePositiveMs("X", "12.5", 50.0),
-              12.5);
+    serve::ServeConfig base;
+    base.workers = 3;
+    unsetenv("GNNBENCH_SERVE_WORKERS");
+    setenv("GNNBENCH_SERVE_MAX_BATCH", "", 1);
+    setenv("GNNBENCH_SERVE_QUEUE_DEPTH", "8", 1);
+    setenv("GNNBENCH_SERVE_SLO_MS", "12.5", 1);
+    const serve::ServeConfig cfg = serve::applyServeEnv(base);
+    unsetenv("GNNBENCH_SERVE_MAX_BATCH");
+    unsetenv("GNNBENCH_SERVE_QUEUE_DEPTH");
+    unsetenv("GNNBENCH_SERVE_SLO_MS");
+    EXPECT_EQ(cfg.workers, 3);
+    EXPECT_EQ(cfg.maxBatch, base.maxBatch);
+    EXPECT_EQ(cfg.queueDepth, 8);
+    EXPECT_DOUBLE_EQ(cfg.sloSeconds, 12.5e-3);
 }
 
 TEST(ServeEnv, ArrivalNamesRoundTrip)
