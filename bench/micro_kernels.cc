@@ -5,7 +5,8 @@
  *    gather+scatter composition (the CPU-kernel gap of Obs. 2/3);
  *  - dglx counting-sort format conversion vs pygx torch.sort-style
  *    conversion (the CSC-conversion cost of Obs. 2);
- *  - the dense GEMM both frameworks share, in its three layouts.
+ *  - the dense GEMM both frameworks share, in its three layouts;
+ *  - the distributed trainer's exact fixed-point gradient GEMM.
  *
  * With `--json <path>` the binary instead runs the kernel-variant
  * comparison: Reference vs Tiled vs Simd SpMM on the fig05 conv-layer
@@ -35,6 +36,7 @@
 #include "gnnbench/core/parse.h"
 #include "gnnbench/dglx/kernels.h"
 #include "gnnbench/dglx/sampler.h"
+#include "gnnbench/dist/exact.h"
 #include "gnnbench/graph/convert.h"
 #include "gnnbench/graph/generate.h"
 #include "gnnbench/graph/reorder.h"
@@ -168,6 +170,34 @@ BM_SharedDenseGemm(benchmark::State &state)
                                  : "matmulTb 512x7x256");
 }
 BENCHMARK(BM_SharedDenseGemm)->Arg(0)->Arg(1)->Arg(2);
+
+/**
+ * The distributed trainer's exact gradient GEMM at one dist_sage
+ * rank's backward shapes (flickr x0.05, 4 ranks, hidden 64, 7
+ * classes; rank 2 owns 1394 rows).  Arg 0: the layer-1 weight
+ * gradient x^T dz1 into 500x64, dz1 about 60% zeros after the ReLU;
+ * 1: the layer-2 gradient h1^T dz2 into 64x7.
+ */
+void
+BM_ExactMatmulTa(benchmark::State &state)
+{
+    core::Rng rng(9);
+    const bool layer1 = state.range(0) == 0;
+    const core::Tensor a =
+        core::Tensor::randn(1394, layer1 ? 500 : 64, rng);
+    core::Tensor b = core::Tensor::randn(1394, layer1 ? 64 : 7, rng, 1e-3f);
+    if (layer1)
+        for (int64_t k = 0; k < b.numel(); ++k)
+            if (rng.bernoulli(0.6))
+                b.data()[k] = 0.0f;
+    for (auto _ : state) {
+        dist::ExactTensor g = dist::exactMatmulTa(a, b);
+        benchmark::DoNotOptimize(g.raw(0));
+    }
+    state.SetItemsProcessed(state.iterations() * a.numel() * b.cols());
+    state.SetLabel(layer1 ? "500x64 from 1394 rows" : "64x7 from 1394 rows");
+}
+BENCHMARK(BM_ExactMatmulTa)->Arg(0)->Arg(1);
 
 void
 BM_DglxNeighborSampleBatch(benchmark::State &state)

@@ -2,11 +2,11 @@
 
 #include <atomic>
 #include <cstdlib>
-#include <cstring>
 #include <sstream>
 #include <vector>
 
 #include "gnnbench/core/common.h"
+#include "gnnbench/core/parse.h"
 
 namespace gnnbench {
 namespace check {
@@ -19,17 +19,22 @@ std::atomic<int> g_override{-1};
 bool
 envDefault()
 {
-    const char *v = std::getenv("GNNBENCH_VALIDATE");
-    if (v == nullptr) {
 #ifdef GNNBENCH_VALIDATE_DEFAULT
-        return true;
+    constexpr bool compiled = true;
 #else
-        return false;
+    constexpr bool compiled = false;
 #endif
-    }
-    return !(std::strcmp(v, "") == 0 || std::strcmp(v, "0") == 0 ||
-             std::strcmp(v, "off") == 0 ||
-             std::strcmp(v, "false") == 0);
+    // Set but empty means off, even when the compiled default is on.
+    const char *v = std::getenv("GNNBENCH_VALIDATE");
+    if (v != nullptr && *v == '\0')
+        return false;
+    return core::envChoice("GNNBENCH_VALIDATE", compiled,
+                           {{"0", false},
+                            {"off", false},
+                            {"false", false},
+                            {"1", true},
+                            {"on", true},
+                            {"true", true}});
 }
 
 thread_local std::vector<std::string> t_context;

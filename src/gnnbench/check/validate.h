@@ -51,8 +51,9 @@ struct Result
 /**
  * Whether the in-situ validation hooks are active.  Resolution order:
  * setEnabled() override, then the GNNBENCH_VALIDATE environment
- * variable ("0"/"off"/"false" disable, anything else enables), then
- * the compile-time default (-DGNNBENCH_VALIDATE=ON).
+ * variable (""/"0"/"off"/"false" disable, "1"/"on"/"true" enable,
+ * anything else is fatal), then the compile-time default
+ * (-DGNNBENCH_VALIDATE=ON).
  */
 bool enabled();
 

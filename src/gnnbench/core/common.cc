@@ -53,6 +53,14 @@ badInteger(const std::string &name, const std::string &value,
               (max.empty() ? "" : " (at most " + max + ")"));
 }
 
+void
+badChoice(const std::string &name, const std::string &value,
+          const std::string &words)
+{
+    fatal(__FILE__, __LINE__,
+          name + " must be one of " + words + ", got '" + value + "'");
+}
+
 const char *
 envValue(const char *name)
 {

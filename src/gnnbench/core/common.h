@@ -5,10 +5,12 @@
  *
  * Following the gem5 convention we distinguish two failure classes:
  *  - GNNBENCH_CHECK: the condition is the *user's* fault (bad
- *    configuration, invalid argument).  Prints a message and exits
+ *    configuration, invalid argument).  Prints "fatal: <message>"
+ *    (the condition's text only when no message is given) and exits
  *    with status 1.
  *  - GNNBENCH_ASSERT: the condition is an *internal invariant*; a
- *    violation is a gnnbench bug.  Prints a message and aborts.
+ *    violation is a gnnbench bug.  Prints "panic: <condition>:
+ *    <message>" and aborts.
  */
 
 #ifndef GNNBENCH_CORE_COMMON_H
@@ -44,7 +46,7 @@ void inform(const std::string &msg);
 
 namespace detail {
 
-/** Build "cond_str: extra" style messages for the CHECK/ASSERT macros. */
+/** Build "cond_str: extra" style messages for GNNBENCH_ASSERT. */
 template <typename... Args>
 std::string
 formatMessage(const char *cond, Args &&...args)
@@ -58,6 +60,22 @@ formatMessage(const char *cond, Args &&...args)
     return oss.str();
 }
 
+/** GNNBENCH_CHECK's message: the user-facing text alone, or the
+ *  condition when the check gives none.  Out of line and cold, so a
+ *  check costs its caller no more than a call on the failure path. */
+template <typename... Args>
+[[gnu::cold, gnu::noinline]] std::string
+checkMessage(const char *cond, Args &&...args)
+{
+    if constexpr (sizeof...(Args) == 0) {
+        return cond;
+    } else {
+        std::ostringstream oss;
+        (oss << ... << args);
+        return oss.str();
+    }
+}
+
 } // namespace detail
 } // namespace core
 } // namespace gnnbench
@@ -68,7 +86,7 @@ formatMessage(const char *cond, Args &&...args)
         if (!(cond)) {                                                     \
             ::gnnbench::core::fatal(                                       \
                 __FILE__, __LINE__,                                        \
-                ::gnnbench::core::detail::formatMessage(                   \
+                ::gnnbench::core::detail::checkMessage(                    \
                     #cond __VA_OPT__(, ) __VA_ARGS__));                    \
         }                                                                  \
     } while (0)

@@ -1,8 +1,6 @@
 #include "gnnbench/device/hierarchy.h"
 
 #include <algorithm>
-#include <cstdlib>
-#include <cstring>
 #include <limits>
 #include <mutex>
 
@@ -14,31 +12,13 @@
 namespace gnnbench {
 namespace device {
 
-namespace detail {
-
-bool
-deviceOnOff(const char *name, const char *value, bool fallback)
-{
-    if (value == nullptr || *value == '\0')
-        return fallback;
-    if (std::strcmp(value, "on") == 0)
-        return true;
-    if (std::strcmp(value, "off") == 0)
-        return false;
-    GNNBENCH_CHECK(false, name, " must be one of on, off, got '",
-                   value, "'");
-    return fallback;
-}
-
-} // namespace detail
-
 DeviceConfig
 deviceConfigFromEnv()
 {
     DeviceConfig cfg;
-    cfg.fusionEnabled = detail::deviceOnOff(
-        "GNNBENCH_DEVICE_FUSION",
-        std::getenv("GNNBENCH_DEVICE_FUSION"), cfg.fusionEnabled);
+    cfg.fusionEnabled =
+        core::envChoice("GNNBENCH_DEVICE_FUSION", cfg.fusionEnabled,
+                        {{"on", true}, {"off", false}});
     constexpr uint64_t kMaxBytes = std::numeric_limits<int64_t>::max();
     cfg.l2Bytes = core::envInt<uint64_t>("GNNBENCH_DEVICE_L2_BYTES",
                                          cfg.l2Bytes, 1, kMaxBytes);

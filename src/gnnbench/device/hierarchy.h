@@ -77,13 +77,6 @@ const DeviceConfig &deviceConfig();
 /** Override the latched config (tests; also marks it latched). */
 void setDeviceConfig(const DeviceConfig &cfg);
 
-namespace detail {
-
-/** Parse an on/off env value; fatal listing the valid values. */
-bool deviceOnOff(const char *name, const char *value, bool fallback);
-
-} // namespace detail
-
 /** Stage timing constants of the modeled hierarchy. */
 struct HierarchySpec
 {

@@ -11,8 +11,8 @@
  *
  *   - each float x float product is formed exactly in double
  *     (24 + 24 significand bits fit in double's 53),
- *   - scaled by 2^80 with ldexp (exact: a pure exponent shift) and
- *     truncated to an __int128 (deterministic, per-term),
+ *   - scaled by 2^80 (exact: a power-of-two scale) and truncated
+ *     toward zero to an __int128 (deterministic, per-term),
  *   - added with two's-complement wraparound arithmetic, which is
  *     exactly associative and commutative.
  *
@@ -21,8 +21,9 @@
  * double -> float conversion is performed once on identical bits
  * everywhere.  The 2^-80 quantum truncates contributions below
  * ~8e-25 (irrelevant at gradient magnitudes), and the 2^47 integer
- * headroom is far above any realistic gradient sum; toFixed() checks
- * the range in debug builds.
+ * headroom is far above any realistic gradient sum; encoding a term
+ * of magnitude 2^46 or more, Inf or NaN panics with "exact
+ * accumulator overflow".
  *
  * This is also what makes the modeled allreduce order-invariant (see
  * dist/comm.h): reducing rank partials in any permutation gives the
@@ -42,15 +43,12 @@
 namespace gnnbench {
 namespace dist {
 
-/** Fixed-point scale: values are stored as round(v * 2^80). */
-constexpr int kFixedPointBits = 80;
-
 /** Encode a double as a 2^-80-quantum fixed-point 128-bit value. */
 inline unsigned __int128
 toFixed(double v)
 {
-    const double scaled = std::ldexp(v, kFixedPointBits);
-    GNNBENCH_ASSERT(std::abs(scaled) < std::ldexp(1.0, 126),
+    const double scaled = v * 0x1p80;
+    GNNBENCH_ASSERT(std::abs(scaled) < 0x1p126,
                     "exact accumulator overflow");
     return static_cast<unsigned __int128>(
         static_cast<__int128>(scaled));
@@ -60,8 +58,7 @@ toFixed(double v)
 inline double
 fromFixed(unsigned __int128 a)
 {
-    return std::ldexp(static_cast<double>(static_cast<__int128>(a)),
-                      -kFixedPointBits);
+    return static_cast<double>(static_cast<__int128>(a)) * 0x1p-80;
 }
 
 /**
@@ -141,6 +138,17 @@ class ExactScalar
   private:
     unsigned __int128 acc_ = 0;
 };
+
+/**
+ * Exact a^T b: the (a.cols x b.cols) accumulator whose element (i, j)
+ * holds the wraparound sum over rows u of toFixed(a(u,i) * b(u,j)),
+ * word for word what addProduct() would build term by term, skipping
+ * the terms with a(u,i) == 0.  Computed eight output columns per
+ * vector (see exact.cc); chunked over a's columns, so neither the
+ * thread count nor a row grouping (per rank) changes any word.
+ * Panics with "exact accumulator overflow" like toFixed().
+ */
+ExactTensor exactMatmulTa(const core::Tensor &a, const core::Tensor &b);
 
 } // namespace dist
 } // namespace gnnbench

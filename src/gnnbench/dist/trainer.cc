@@ -1,6 +1,7 @@
 #include "gnnbench/dist/trainer.h"
 
 #include <memory>
+#include <optional>
 
 #include "gnnbench/core/optim.h"
 #include "gnnbench/core/parallel.h"
@@ -8,6 +9,7 @@
 #include "gnnbench/dist/exact.h"
 #include "gnnbench/dist/shard.h"
 #include "gnnbench/graph/convert.h"
+#include "gnnbench/profiling/trace.h"
 
 namespace gnnbench {
 namespace dist {
@@ -91,50 +93,6 @@ addCsrGather(const graph::CsrGraph &csr, const Tensor &local,
 }
 
 /**
- * Exact a^T b: an (a.cols x b.cols) fixed-point accumulator holding
- * sum_u a(u,i) * b(u,j) — the rank-partitionable half of every
- * gradient.  Chunked over output rows; each element's terms combine
- * with wraparound adds, so neither thread chunking nor rank grouping
- * changes the result.
- */
-ExactTensor
-exactMatmulTa(const Tensor &a, const Tensor &b)
-{
-    GNNBENCH_ASSERT(a.rows() == b.rows(),
-                    "exactMatmulTa row mismatch");
-    ExactTensor out(a.cols(), b.cols());
-    parallelFor(0, a.cols(), 8, [&](int64_t i0, int64_t i1) {
-        for (int64_t u = 0; u < a.rows(); ++u) {
-            const float *arow = a.row(u);
-            const float *brow = b.row(u);
-            for (int64_t i = i0; i < i1; ++i) {
-                const float av = arow[i];
-                if (av == 0.0f)
-                    continue;
-                for (int64_t j = 0; j < b.cols(); ++j)
-                    out.addProduct(i, j, av, brow[j]);
-            }
-        }
-    });
-    return out;
-}
-
-/** Exact column sum of b (the bias gradient). */
-ExactTensor
-exactColSum(const Tensor &b)
-{
-    ExactTensor out(1, b.cols());
-    parallelFor(0, b.cols(), 32, [&](int64_t j0, int64_t j1) {
-        for (int64_t u = 0; u < b.rows(); ++u) {
-            const float *brow = b.row(u);
-            for (int64_t j = j0; j < j1; ++j)
-                out.add(0, j, static_cast<double>(brow[j]));
-        }
-    });
-    return out;
-}
-
-/**
  * Upstream gradient of the *global-mean* NLL loss w.r.t. the
  * log-probabilities: -1/n_train_global at (row, label) for the local
  * training rows, zero elsewhere.  (ops::nllLossGrad divides by the
@@ -160,6 +118,7 @@ struct RankState
     std::unique_ptr<core::Adam> opt;
 
     Tensor xLocal;
+    Tensor ones;                      ///< numLocal x 1, for column sums
     std::vector<int32_t> labels;      ///< per local row
     std::vector<NodeId> trainRows;    ///< local row indices
     std::vector<float> invDeg;
@@ -281,6 +240,7 @@ trainDistributedSage(const graph::Dataset &dataset,
             std::make_unique<core::Adam>(st.params, cfg.lr);
         st.xLocal =
             ops::gatherRows(dataset.features, shard.localNodes);
+        st.ones = Tensor::full(shard.numLocal(), 1, 1.0f);
         st.labels.resize(static_cast<size_t>(shard.numLocal()));
         st.invDeg.resize(static_cast<size_t>(shard.numLocal()));
         for (NodeId i = 0; i < shard.numLocal(); ++i) {
@@ -302,14 +262,20 @@ trainDistributedSage(const graph::Dataset &dataset,
         return n;
     }();
 
+    // Each superstep is one measured span on the caller's lane,
+    // beside the modeled rank<r>/... lanes; emplace() ends the last.
+    auto &trace = profiling::TraceRecorder::global();
+    std::optional<profiling::TraceScope> span;
     for (int epoch = 0; epoch < cfg.epochs; ++epoch) {
         // S1: halo feature fetch through the data store.
+        span.emplace(trace, "dist.fetch", "dist");
         for (int r = 0; r < cfg.numRanks; ++r)
             states[static_cast<size_t>(r)].haloX =
                 &store.fetchHalo(r, &comm);
         comm.barrier();
 
         // S2: layer-1 forward.
+        span.emplace(trace, "dist.layer1", "dist");
         for (int r = 0; r < cfg.numRanks; ++r) {
             RankState &st = states[static_cast<size_t>(r)];
             const RankShard &shard =
@@ -333,6 +299,7 @@ trainDistributedSage(const graph::Dataset &dataset,
         comm.barrier();
 
         // S3: halo exchange of h1.
+        span.emplace(trace, "dist.h1_exchange", "dist");
         for (int r = 0; r < cfg.numRanks; ++r)
             states[static_cast<size_t>(r)].h1Halo = gatherHalo(
                 sharded, r,
@@ -342,6 +309,7 @@ trainDistributedSage(const graph::Dataset &dataset,
 
         // S4: layer-2 forward, loss, dz2, and the scaled upstream
         // gradient that must travel in S5.
+        span.emplace(trace, "dist.layer2", "dist");
         for (int r = 0; r < cfg.numRanks; ++r) {
             RankState &st = states[static_cast<size_t>(r)];
             const RankShard &shard =
@@ -382,6 +350,7 @@ trainDistributedSage(const graph::Dataset &dataset,
         comm.barrier();
 
         // S5: halo exchange of the scaled upstream gradients.
+        span.emplace(trace, "dist.grad_exchange", "dist");
         for (int r = 0; r < cfg.numRanks; ++r)
             states[static_cast<size_t>(r)].yHalo = gatherHalo(
                 sharded, r,
@@ -390,7 +359,9 @@ trainDistributedSage(const graph::Dataset &dataset,
                 "dh");
         comm.barrier();
 
-        // S6: backward on local rows; exact partial gradients.
+        // S6: backward on local rows; exact partial gradients (the
+        // bias gradients are exact column sums, ones^T dz).
+        span.emplace(trace, "dist.backward", "dist");
         for (int r = 0; r < cfg.numRanks; ++r) {
             RankState &st = states[static_cast<size_t>(r)];
             const RankShard &shard =
@@ -402,10 +373,10 @@ trainDistributedSage(const graph::Dataset &dataset,
             st.grads.clear();
             st.grads.push_back(exactMatmulTa(st.xLocal, dz1));
             st.grads.push_back(exactMatmulTa(st.agg1, dz1));
-            st.grads.push_back(exactColSum(dz1));
+            st.grads.push_back(exactMatmulTa(st.ones, dz1));
             st.grads.push_back(exactMatmulTa(st.h1, st.dz2));
             st.grads.push_back(exactMatmulTa(st.agg2, st.dz2));
-            st.grads.push_back(exactColSum(st.dz2));
+            st.grads.push_back(exactMatmulTa(st.ones, st.dz2));
             const double n = shard.numLocal();
             const double e = shard.csr.numEdges();
             comm.compute(r,
@@ -418,6 +389,7 @@ trainDistributedSage(const graph::Dataset &dataset,
 
         // S7: ring allreduce — exact merge in any order gives the
         // same bits; the modeled ring is charged the float payload.
+        span.emplace(trace, "dist.allreduce", "dist");
         std::vector<ExactTensor> merged = std::move(
             states[0].grads);
         ExactScalar loss_sum = states[0].lossSum;
@@ -437,6 +409,7 @@ trainDistributedSage(const graph::Dataset &dataset,
         comm.barrier();
 
         // S8: identical optimizer step on every replica.
+        span.emplace(trace, "dist.adam", "dist");
         Tensor grad_f[kNumDistWeights];
         for (int k = 0; k < kNumDistWeights; ++k)
             grad_f[k] = merged[static_cast<size_t>(k)].toTensor();
@@ -451,6 +424,7 @@ trainDistributedSage(const graph::Dataset &dataset,
                          "adam");
         }
         comm.barrier();
+        span.reset();
 
         DistEpochStats es;
         es.loss =

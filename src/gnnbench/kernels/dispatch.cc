@@ -9,6 +9,7 @@
 #include <string>
 
 #include "gnnbench/core/common.h"
+#include "gnnbench/core/parse.h"
 #include "gnnbench/kernels/detail.h"
 #include "gnnbench/kernels/kernels.h"
 #include "gnnbench/kernels/simd.h"
@@ -56,25 +57,25 @@ validVariantList()
     return "auto/reference/tiled/simd";
 }
 
+namespace {
+
+/** The variants by name, in validVariantList() order. */
+constexpr core::Choice<KernelVariant> kVariants[] = {
+    {"auto", KernelVariant::Auto},
+    {"reference", KernelVariant::Reference},
+    {"tiled", KernelVariant::Tiled},
+    {"simd", KernelVariant::Simd}};
+
+} // namespace
+
 bool
 parseVariant(std::string_view name, KernelVariant *out)
 {
-    if (name == "auto") {
-        *out = KernelVariant::Auto;
-        return true;
-    }
-    if (name == "reference") {
-        *out = KernelVariant::Reference;
-        return true;
-    }
-    if (name == "tiled") {
-        *out = KernelVariant::Tiled;
-        return true;
-    }
-    if (name == "simd") {
-        *out = KernelVariant::Simd;
-        return true;
-    }
+    for (const auto &c : kVariants)
+        if (name == c.word) {
+            *out = c.value;
+            return true;
+        }
     return false;
 }
 
@@ -85,11 +86,7 @@ variantFromEnvValue(const char *value)
 {
     if (!value || !*value)
         return KernelVariant::Auto;
-    KernelVariant v;
-    GNNBENCH_CHECK(parseVariant(value, &v),
-                   "GNNBENCH_KERNEL_VARIANT must be one of ",
-                   validVariantList(), ", got '", value, "'");
-    return v;
+    return core::parseChoice("GNNBENCH_KERNEL_VARIANT", value, kVariants);
 }
 
 } // namespace detail

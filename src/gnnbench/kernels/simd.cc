@@ -19,11 +19,10 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
-#include <cstring>
 #include <limits>
 
 #include "gnnbench/core/common.h"
+#include "gnnbench/core/parse.h"
 
 #if (defined(__x86_64__) || defined(__i386__)) && \
     !defined(GNNBENCH_DISABLE_AVX2)
@@ -48,18 +47,20 @@ namespace {
 
 std::atomic<bool> g_forcePortable{false};
 
+/** GNNBENCH_SIMD's spellings. */
+enum class SimdEnv { Auto, Avx2, Portable };
+
 bool
 envWantsPortable()
 {
     static const bool portable = [] {
-        const char *env = std::getenv("GNNBENCH_SIMD");
-        if (!env || !*env || std::strcmp(env, "auto") == 0)
-            return false;
-        if (std::strcmp(env, "portable") == 0)
-            return true;
-        GNNBENCH_CHECK(std::strcmp(env, "avx2") == 0,
-                       "GNNBENCH_SIMD must be one of auto/avx2/"
-                       "portable, got '", env, "'");
+        const SimdEnv env = core::envChoice(
+            "GNNBENCH_SIMD", SimdEnv::Auto,
+            {{"auto", SimdEnv::Auto},
+             {"avx2", SimdEnv::Avx2},
+             {"portable", SimdEnv::Portable}});
+        if (env != SimdEnv::Avx2)
+            return env == SimdEnv::Portable;
         GNNBENCH_CHECK(avx2CompiledIn(),
                        "GNNBENCH_SIMD=avx2 but this build has no AVX2 "
                        "kernels (GNNBENCH_DISABLE_AVX2 or non-x86)");
@@ -97,7 +98,8 @@ avx2Supported()
 bool
 avx2Active()
 {
-    return avx2CompiledIn() && avx2Supported() && !envWantsPortable() &&
+    // The knob first, so a bad GNNBENCH_SIMD fails in every build.
+    return !envWantsPortable() && avx2CompiledIn() && avx2Supported() &&
            !g_forcePortable.load(std::memory_order_relaxed);
 }
 

@@ -1,9 +1,9 @@
 #include "gnnbench/profiling/perf_counters.h"
 
 #include <atomic>
-#include <cstdlib>
 #include <cstring>
 
+#include "gnnbench/core/parse.h"
 #include "gnnbench/profiling/metrics_registry.h"
 
 #if defined(__linux__) && __has_include(<linux/perf_event.h>)
@@ -224,8 +224,8 @@ ProbeResult
 probe()
 {
     ProbeResult r;
-    const char *env = std::getenv("GNNBENCH_PERF");
-    if (env && std::strcmp(env, "off") == 0) {
+    if (!core::envChoice("GNNBENCH_PERF", true,
+                         {{"on", true}, {"off", false}})) {
         r.label = "disabled (GNNBENCH_PERF=off)";
         return r;
     }

@@ -32,8 +32,8 @@
  *     descheduled.
  *
  * GNNBENCH_PERF=off disables collection even where the syscall
- * works (e.g. to A/B the instrumentation overhead); any other value
- * (or unset) means "use it if the kernel allows".
+ * works (e.g. to A/B the instrumentation overhead); "on" (or unset)
+ * means "use it if the kernel allows", and any other value is fatal.
  */
 
 #ifndef GNNBENCH_PROFILING_PERF_COUNTERS_H

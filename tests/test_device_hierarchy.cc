@@ -352,7 +352,7 @@ TEST(DeviceEnvDeathTest, UnknownValuesAreFatal)
             setenv("GNNBENCH_DEVICE_FUSION", "maybe", 1);
             deviceConfigFromEnv();
         },
-        ::testing::ExitedWithCode(1), "must be one of on, off");
+        ::testing::ExitedWithCode(1), "must be one of on/off");
     EXPECT_EXIT(
         {
             setenv("GNNBENCH_DEVICE_L2_BYTES", "big", 1);

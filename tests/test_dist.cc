@@ -7,7 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
+#include <limits>
 
 #include "gnnbench/check/property.h"
 #include "gnnbench/core/parallel.h"
@@ -298,6 +300,138 @@ TEST(DistExact, RoundTripsSimpleValues)
     s.add(-123.456);
     s.add(123.456);
     EXPECT_EQ(s.value(), 0.0);
+}
+
+// ---------------------------------------------------------------------------
+// The exact gradient GEMM against its per-term definition.
+
+/** a^T b term by term through addProduct, skipping a(u,i) == 0: the
+ *  definition exactMatmulTa computes in vector lanes. */
+ExactTensor
+perTermMatmulTa(const core::Tensor &a, const core::Tensor &b)
+{
+    ExactTensor out(a.cols(), b.cols());
+    for (int64_t u = 0; u < a.rows(); ++u)
+        for (int64_t i = 0; i < a.cols(); ++i)
+            if (a(u, i) != 0.0f)
+                for (int64_t j = 0; j < b.cols(); ++j)
+                    out.addProduct(i, j, a(u, i), b(u, j));
+    return out;
+}
+
+void
+expectSameWords(const ExactTensor &want, const ExactTensor &got)
+{
+    ASSERT_EQ(want.rows(), got.rows());
+    ASSERT_EQ(want.cols(), got.cols());
+    int64_t differing = 0;
+    for (int64_t k = 0; k < want.numel(); ++k)
+        differing += want.raw(static_cast<size_t>(k)) !=
+                     got.raw(static_cast<size_t>(k));
+    EXPECT_EQ(differing, 0) << "of " << want.numel() << " words";
+}
+
+/**
+ * One operand value: a signed zero with probability @p zeros, else a
+ * float subnormal, a full-significand value near 2^-20 (two of them
+ * multiply below 2^-32 and truncate), one in [2^-8, 2^8) (two of
+ * them reach the accumulator's high word) or a standard normal.
+ */
+float
+termValue(core::Rng &rng, double zeros)
+{
+    if (rng.bernoulli(zeros))
+        return rng.bernoulli(0.5) ? 0.0f : -0.0f;
+    const float sign = rng.bernoulli(0.5) ? -1.0f : 1.0f;
+    const float frac = 1.0f + rng.uniformFloat();
+    switch (rng.uniformInt(4)) {
+    case 0:
+        return sign * std::ldexp(frac, -127 - static_cast<int>(
+                                            rng.uniformInt(20)));
+    case 1:
+        return sign * std::ldexp(frac, -16 - static_cast<int>(
+                                           rng.uniformInt(8)));
+    case 2:
+        return sign * std::ldexp(frac, static_cast<int>(
+                                           rng.uniformRange(-8, 8)));
+    default:
+        return static_cast<float>(rng.normal());
+    }
+}
+
+/** Operands with about 20% zeros in a and 60% in b, as in the
+ *  trainer's gradients, where every third row repeats the previous
+ *  row of a against its negated b row, so those terms cancel. */
+void
+makeOperands(int64_t rows, int64_t acols, int64_t bcols, core::Rng &rng,
+             core::Tensor *a, core::Tensor *b)
+{
+    *a = core::Tensor(rows, acols);
+    *b = core::Tensor(rows, bcols);
+    for (int64_t u = 0; u < rows; ++u) {
+        const bool mirror = u % 3 == 2;
+        for (int64_t i = 0; i < acols; ++i)
+            (*a)(u, i) = mirror ? (*a)(u - 1, i) : termValue(rng, 0.2);
+        for (int64_t j = 0; j < bcols; ++j)
+            (*b)(u, j) = mirror ? -(*b)(u - 1, j) : termValue(rng, 0.6);
+    }
+}
+
+TEST(DistExact, MatmulTaMatchesPerTermLoop)
+{
+    core::Rng rng(testenv::seed() + 11);
+    for (int64_t rows : {0, 1, 7, 300})
+        for (int64_t acols : {1, 7, 8, 9, 65})
+            for (int64_t bcols : {1, 7, 8, 9, 64, 65}) {
+                SCOPED_TRACE(std::to_string(rows) + "x" +
+                             std::to_string(acols) + " vs " +
+                             std::to_string(bcols) + " columns");
+                core::Tensor a, b;
+                makeOperands(rows, acols, bcols, rng, &a, &b);
+                expectSameWords(perTermMatmulTa(a, b),
+                                exactMatmulTa(a, b));
+            }
+}
+
+TEST(DistExact, MatmulTaWordsIndependentOfThreads)
+{
+    core::Rng rng(testenv::seed() + 12);
+    core::Tensor a, b;
+    makeOperands(300, 65, 65, rng, &a, &b);
+    const ExactTensor want = perTermMatmulTa(a, b);
+    const int save_threads = core::parallel::numThreads();
+    for (int threads : {1, 2, 4}) {
+        SCOPED_TRACE("threads=" + std::to_string(threads));
+        core::parallel::setNumThreads(threads);
+        expectSameWords(want, exactMatmulTa(a, b));
+    }
+    core::parallel::setNumThreads(save_threads);
+    core::parallel::WorkerThreadScope worker;
+    expectSameWords(want, exactMatmulTa(a, b));
+}
+
+TEST(DistExactDeathTest, MatmulTaOutOfRangeTermsPanic)
+{
+    // A forked child has no pool workers: re-execute instead.
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    const struct
+    {
+        const char *what;
+        float a, b;
+    } cases[] = {
+        {"inf operand", std::numeric_limits<float>::infinity(), 1.0f},
+        {"nan operand", 1.0f, std::numeric_limits<float>::quiet_NaN()},
+        {"|a*b| = 2^46", 0x1p23f, -0x1p23f},
+    };
+    for (const auto &c : cases) {
+        SCOPED_TRACE(c.what);
+        core::Tensor a(3, 9), b(3, 9);
+        a.fill(0.5f);
+        b.fill(0.25f);
+        a(1, 8) = c.a;
+        b(1, 4) = c.b;
+        EXPECT_DEATH(exactMatmulTa(a, b), "exact accumulator overflow");
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -10,9 +10,14 @@
 
 #include <gtest/gtest.h>
 
+#include "gnnbench/check/validate.h"
 #include "gnnbench/core/parallel.h"
 #include "gnnbench/core/parse.h"
 #include "gnnbench/core/rng.h"
+#include "gnnbench/device/hierarchy.h"
+#include "gnnbench/kernels/kernels.h"
+#include "gnnbench/kernels/simd.h"
+#include "gnnbench/profiling/perf_counters.h"
 
 namespace gnnbench {
 namespace core {
@@ -321,6 +326,115 @@ TEST(Parse, AcceptsWholeNumbersInRange)
     EXPECT_EQ(envInt("PARSE_TEST_KNOB", 3), 12);
     EXPECT_EQ(envPositive("PARSE_TEST_KNOB", 50.0), 12.0);
     unsetenv("PARSE_TEST_KNOB");
+}
+
+TEST(Parse, ChoicesMatchWholeWords)
+{
+    const Choice<int> sizes[] = {{"small", 1}, {"large", 2}};
+    EXPECT_EQ(parseChoice("--size", "small", sizes), 1);
+    EXPECT_EQ(parseChoice("--size", "large", sizes), 2);
+    unsetenv("PARSE_TEST_KNOB");
+    EXPECT_EQ(envChoice("PARSE_TEST_KNOB", 7, sizes), 7);
+    setenv("PARSE_TEST_KNOB", "", 1);
+    EXPECT_EQ(envChoice("PARSE_TEST_KNOB", 7, sizes), 7);
+    setenv("PARSE_TEST_KNOB", "large", 1);
+    EXPECT_EQ(envChoice("PARSE_TEST_KNOB", 7, sizes), 2);
+    unsetenv("PARSE_TEST_KNOB");
+}
+
+TEST(ParseDeathTest, MalformedChoiceIsFatal)
+{
+    const Choice<bool> onOff[] = {{"on", true}, {"off", false}};
+    for (const char *v : {"ON", "on ", " on", "", "of", "1"}) {
+        SCOPED_TRACE(v);
+        EXPECT_EXIT(parseChoice("PARSE_TEST_KNOB", v, onOff),
+                    ::testing::ExitedWithCode(1),
+                    "fatal: PARSE_TEST_KNOB must be one of on/off, got '");
+    }
+}
+
+// A GNNBENCH_CHECK with a message prints the message alone; one
+// without prints its condition.
+TEST(ParseDeathTest, CheckPrintsMessageNotCondition)
+{
+    EXPECT_EXIT(GNNBENCH_CHECK(numThreads() < 0, "bad ", 42),
+                ::testing::ExitedWithCode(1), "^fatal: bad 42 \\(");
+    EXPECT_EXIT(GNNBENCH_CHECK(numThreads() < 0),
+                ::testing::ExitedWithCode(1),
+                "^fatal: numThreads\\(\\) < 0 \\(");
+}
+
+/** Every word-valued knob, with the call that reads (and latches) it. */
+struct WordKnob
+{
+    const char *name;
+    bool (*read)();
+};
+
+const WordKnob kWordKnobs[] = {
+    {"GNNBENCH_KERNEL_VARIANT",
+     [] {
+         return kernels::defaultVariant() == kernels::KernelVariant::Tiled;
+     }},
+    {"GNNBENCH_SIMD", [] { return kernels::simd::avx2Active(); }},
+    {"GNNBENCH_DEVICE_FUSION",
+     [] { return device::deviceConfigFromEnv().fusionEnabled; }},
+    {"GNNBENCH_PERF", [] { return profiling::perfAvailable(); }},
+    {"GNNBENCH_VALIDATE", [] { return gnnbench::check::enabled(); }},
+};
+
+// Each knob is read once per process, so every row runs in a freshly
+// executed child ("threadsafe" death tests re-run the binary).
+TEST(ParseDeathTest, MalformedWordKnobsAreFatal)
+{
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    for (const WordKnob &k : kWordKnobs) {
+        SCOPED_TRACE(k.name);
+        EXPECT_EXIT(
+            {
+                setenv(k.name, "maybe", 1);
+                k.read();
+            },
+            ::testing::ExitedWithCode(1),
+            std::string("fatal: ") + k.name +
+                " must be one of [a-z0-9/]+, got 'maybe'");
+    }
+}
+
+// The spellings accepted before the knobs shared one parser keep their
+// meaning; a child reports what its knob read as its exit code.
+TEST(ParseDeathTest, WordKnobSpellingsKeepTheirMeaning)
+{
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    const struct
+    {
+        const WordKnob &knob;
+        const char *value;
+        bool want;
+    } rows[] = {
+        {kWordKnobs[0], "tiled", true},
+        {kWordKnobs[0], "auto", false},
+        {kWordKnobs[1], "portable", false},
+        {kWordKnobs[2], "on", true},
+        {kWordKnobs[2], "off", false},
+        {kWordKnobs[3], "off", false},
+        {kWordKnobs[4], "", false},
+        {kWordKnobs[4], "0", false},
+        {kWordKnobs[4], "off", false},
+        {kWordKnobs[4], "false", false},
+        {kWordKnobs[4], "1", true},
+        {kWordKnobs[4], "on", true},
+        {kWordKnobs[4], "true", true},
+    };
+    for (const auto &r : rows) {
+        SCOPED_TRACE(std::string(r.knob.name) + "=" + r.value);
+        EXPECT_EXIT(
+            {
+                setenv(r.knob.name, r.value, 1);
+                std::_Exit(r.knob.read() ? 10 : 11);
+            },
+            ::testing::ExitedWithCode(r.want ? 10 : 11), "");
+    }
 }
 
 TEST(Parallel, NumThreadsPositiveAndAdjustable)
