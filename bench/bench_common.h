@@ -188,7 +188,7 @@ optionPairs(const Options &opts)
              kernels::variantName(kernels::defaultVariant())},
             // What that policy actually resolves to on this machine
             // (post-Auto, post-CPU-feature dispatch): "simd[avx2]",
-            // "simd[portable]", "tiled", or "reference".
+            // "tiled", or "reference".
             {"kernel_variant_resolved",
              kernels::resolvedVariantLabel(
                  kernels::defaultVariant())},

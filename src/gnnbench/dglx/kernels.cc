@@ -210,45 +210,25 @@ gspmmEdgeScalar(const graph::CsrGraph &csc, const Tensor &x,
     return out;
 }
 
-core::ag::Var
-spmmVar(const graph::CsrGraph &csc, const float *w_csc,
-        std::shared_ptr<const graph::CsrGraph> bwd,
-        std::shared_ptr<const std::vector<float>> w_bwd,
-        const core::ag::Var &x, const KernelCtx &ctx)
-{
-    Tensor y = gspmm(csc, x->value, Reducer::Sum, w_csc, ctx);
-    return core::ag::makeOp(
-        "dglx.spmm", std::move(y), {x},
-        [bwd = std::move(bwd), w_bwd = std::move(w_bwd), x,
-         ctx](core::ag::Node &n) {
-            if (x->requiresGrad) {
-                const float *w = w_bwd ? w_bwd->data() : nullptr;
-                x->accumulateGrad(
-                    gspmm(*bwd, n.grad, Reducer::Sum, w, ctx));
-            }
-        });
-}
-
-core::ag::Var
-spmmScatterBwdVar(std::shared_ptr<const graph::CsrGraph> csc,
-                  std::shared_ptr<const std::vector<float>> w,
-                  const core::ag::Var &x, const KernelCtx &ctx)
-{
-    const float *w_fwd = w ? w->data() : nullptr;
-    Tensor y = gspmm(*csc, x->value, Reducer::Sum, w_fwd, ctx);
-    return core::ag::makeOp(
-        "dglx.spmm", std::move(y), {x},
-        [csc = std::move(csc), w = std::move(w), x,
-         ctx](core::ag::Node &n) {
-            if (x->requiresGrad) {
-                const float *wb = w ? w->data() : nullptr;
-                x->accumulateGrad(
-                    gspmmScatter(*csc, n.grad, wb, ctx));
-            }
-        });
-}
-
 namespace {
+
+/** Put @p y on the tape; its backward runs @p bwd on the gradient. */
+core::ag::Var
+aggregationOp(const char *name, Tensor y, SpmmBackward bwd,
+              const core::ag::Var &x, const KernelCtx &ctx)
+{
+    return core::ag::makeOp(
+        name, std::move(y), {x},
+        [bwd = std::move(bwd), x, ctx](core::ag::Node &n) {
+            if (!x->requiresGrad)
+                return;
+            const float *w = bwd.w ? bwd.w->data() : nullptr;
+            x->accumulateGrad(
+                bwd.scatterForm
+                    ? gspmmScatter(*bwd.adj, n.grad, w, ctx)
+                    : gspmm(*bwd.adj, n.grad, Reducer::Sum, w, ctx));
+        });
+}
 
 /**
  * Record the spmm→row-scale chain in a kernel graph and ask it
@@ -299,74 +279,45 @@ gspmmMean(const graph::CsrGraph &csc, const Tensor &x,
 } // namespace
 
 core::ag::Var
-spmmMeanVar(const graph::CsrGraph &csc,
-            std::shared_ptr<const graph::CsrGraph> bwd,
-            const core::ag::Var &x, const KernelCtx &ctx)
+spmmVar(const graph::CsrGraph &csc, const float *w_csc,
+        SpmmBackward bwd, const core::ag::Var &x, const KernelCtx &ctx)
 {
-    if (!fuseMeanChain(csc, x->value.cols()))
-        return scaleByInvDegree(
-            spmmVar(csc, nullptr, std::move(bwd), nullptr, x, ctx), csc,
-            ctx);
-    Tensor y = gspmmMean(csc, x->value, ctx);
-    // Backward folds the inverse destination degree into the
-    // transposed aggregation's edge weights: bwd's indices are
-    // destinations, so w[e] = inv[bwd.indices[e]].
-    auto w_bwd = std::make_shared<std::vector<float>>();
-    {
-        const graph::CsrGraph &b = *bwd;
-        runPrep(ctx,
-                static_cast<double>(csc.numRows) +
-                    static_cast<double>(b.numEdges()),
-                [&] {
-                    const std::vector<float> inv = nn::invDegree(csc);
-                    w_bwd->resize(static_cast<size_t>(b.numEdges()));
-                    for (EdgeId e = 0; e < b.numEdges(); ++e)
-                        (*w_bwd)[static_cast<size_t>(e)] = inv[
-                            static_cast<size_t>(b.indices[e])];
-                });
-    }
-    return core::ag::makeOp(
-        "dglx.spmm_mean", std::move(y), {x},
-        [bwd = std::move(bwd), w_bwd = std::move(w_bwd), x,
-         ctx](core::ag::Node &n) {
-            if (x->requiresGrad)
-                x->accumulateGrad(gspmm(*bwd, n.grad, Reducer::Sum,
-                                        w_bwd->data(), ctx));
-        });
+    Tensor y = gspmm(csc, x->value, Reducer::Sum, w_csc, ctx);
+    return aggregationOp("dglx.spmm", std::move(y), std::move(bwd), x,
+                         ctx);
 }
 
 core::ag::Var
-spmmMeanScatterBwdVar(std::shared_ptr<const graph::CsrGraph> csc,
-                      const core::ag::Var &x, const KernelCtx &ctx)
+spmmMeanVar(const graph::CsrGraph &csc, SpmmBackward bwd,
+            const core::ag::Var &x, const KernelCtx &ctx)
 {
-    const graph::CsrGraph &g = *csc;
-    if (!fuseMeanChain(g, x->value.cols()))
-        return scaleByInvDegree(spmmScatterBwdVar(csc, nullptr, x, ctx),
-                                g, ctx);
-    Tensor y = gspmmMean(g, x->value, ctx);
-    // Scatter-form backward over the same adjacency: each edge's
-    // weight is the inverse degree of its destination row.
+    GNNBENCH_ASSERT(bwd.w == nullptr,
+                    "spmmMeanVar: mean takes no edge weights");
+    if (!fuseMeanChain(csc, x->value.cols()))
+        return scaleByInvDegree(
+            spmmVar(csc, nullptr, std::move(bwd), x, ctx), csc, ctx);
+    Tensor y = gspmmMean(csc, x->value, ctx);
+    // Backward folds the inverse destination degree into each
+    // backward edge's weight.  A transpose stores an edge's
+    // destination as its column, the forward adjacency as its row.
     auto w_bwd = std::make_shared<std::vector<float>>();
+    const graph::CsrGraph &b = *bwd.adj;
     runPrep(ctx,
-            static_cast<double>(g.numRows) +
-                static_cast<double>(g.numEdges()),
+            static_cast<double>(csc.numRows) +
+                static_cast<double>(b.numEdges()),
             [&] {
-                const std::vector<float> inv = nn::invDegree(g);
-                w_bwd->resize(static_cast<size_t>(g.numEdges()));
-                for (NodeId r = 0; r < g.numRows; ++r)
-                    for (EdgeId e = g.indptr[r]; e < g.indptr[r + 1];
+                const std::vector<float> inv = nn::invDegree(csc);
+                w_bwd->resize(static_cast<size_t>(b.numEdges()));
+                for (NodeId r = 0; r < b.numRows; ++r)
+                    for (EdgeId e = b.indptr[r]; e < b.indptr[r + 1];
                          ++e)
                         (*w_bwd)[static_cast<size_t>(e)] =
-                            inv[static_cast<size_t>(r)];
+                            inv[static_cast<size_t>(
+                                bwd.scatterForm ? r : b.indices[e])];
             });
-    return core::ag::makeOp(
-        "dglx.spmm_mean", std::move(y), {x},
-        [csc = std::move(csc), w_bwd = std::move(w_bwd), x,
-         ctx](core::ag::Node &n) {
-            if (x->requiresGrad)
-                x->accumulateGrad(gspmmScatter(*csc, n.grad,
-                                               w_bwd->data(), ctx));
-        });
+    bwd.w = std::move(w_bwd);
+    return aggregationOp("dglx.spmm_mean", std::move(y), std::move(bwd),
+                         x, ctx);
 }
 
 core::Tensor

@@ -101,28 +101,46 @@ core::Tensor gspmmEdgeScalar(const graph::CsrGraph &csc,
 /// @{
 
 /**
- * Differentiable fused aggregation y = A x with per-edge weights.
- * The backward pass aggregates the upstream gradient through the
- * *transposed* adjacency @p bwd with weights @p w_bwd aligned to its
- * traversal order (both held by shared_ptr so temporaries — e.g.
- * per-block transposes — survive until backward runs; use borrow()
- * for cached structures).
+ * How the backward pass of a fused aggregation y = A x computes
+ * A^T g: either aggregate g through a *transposed* adjacency, or run
+ * the scatter-form kernel over the forward adjacency itself, so no
+ * transpose is ever built (the right choice for per-batch bipartite
+ * blocks).  The structures are held by shared_ptr so temporaries
+ * (e.g. per-block transposes) survive until backward runs; use
+ * nn::borrow() for cached structures.
  */
-core::ag::Var spmmVar(const graph::CsrGraph &csc, const float *w_csc,
-                      std::shared_ptr<const graph::CsrGraph> bwd,
-                      std::shared_ptr<const std::vector<float>> w_bwd,
-                      const core::ag::Var &x, const KernelCtx &ctx);
+struct SpmmBackward
+{
+    /** Aggregate through @p at, the transposed adjacency, with
+     *  weights @p w aligned to its traversal order. */
+    static SpmmBackward
+    transpose(std::shared_ptr<const graph::CsrGraph> at,
+              std::shared_ptr<const std::vector<float>> w = nullptr)
+    {
+        return {std::move(at), std::move(w), false};
+    }
+
+    /** Scatter over @p a, the forward adjacency, with its per-edge
+     *  weights @p w. */
+    static SpmmBackward
+    scatter(std::shared_ptr<const graph::CsrGraph> a,
+            std::shared_ptr<const std::vector<float>> w = nullptr)
+    {
+        return {std::move(a), std::move(w), true};
+    }
+
+    std::shared_ptr<const graph::CsrGraph> adj;
+    std::shared_ptr<const std::vector<float>> w;
+    bool scatterForm = false;
+};
 
 /**
- * Differentiable fused aggregation whose backward runs the
- * scatter-form kernel over the *same* adjacency (no transpose is ever
- * built) — the right choice for per-batch bipartite blocks.  The
- * optional weights apply in both directions (per-edge).
+ * Differentiable fused aggregation y = A x with optional per-edge
+ * weights @p w_csc; the backward pass runs @p bwd.
  */
-core::ag::Var spmmScatterBwdVar(
-    std::shared_ptr<const graph::CsrGraph> csc,
-    std::shared_ptr<const std::vector<float>> w, const core::ag::Var &x,
-    const KernelCtx &ctx);
+core::ag::Var spmmVar(const graph::CsrGraph &csc, const float *w_csc,
+                      SpmmBackward bwd, const core::ag::Var &x,
+                      const KernelCtx &ctx);
 
 /**
  * Differentiable *mean* aggregation, recorded as an spmm→row-scale
@@ -130,25 +148,13 @@ core::ag::Var spmmScatterBwdVar(
  * (GNNBENCH_DEVICE_FUSION on), the degree normalization folds into a
  * single "gspmm_mean" kernel — forward skips the materialized sum
  * tensor, backward folds the inverse destination degrees into the
- * transposed aggregation's edge weights — and the eliminated
- * elementwise passes are booked as fused_bytes_saved.  When the fuse
- * is declined it falls back to Sum + rowScaleVar.  Both executions
- * are bit-identical for any variant and thread count.  @p bwd is the
- * transposed adjacency the backward aggregates through (as spmmVar).
+ * edge weights of @p bwd — and the eliminated elementwise passes are
+ * booked as fused_bytes_saved.  When the fuse is declined it falls
+ * back to Sum + rowScaleVar.  Both executions are bit-identical for
+ * any variant and thread count.  @p bwd carries no weights.
  */
-core::ag::Var spmmMeanVar(const graph::CsrGraph &csc,
-                          std::shared_ptr<const graph::CsrGraph> bwd,
+core::ag::Var spmmMeanVar(const graph::CsrGraph &csc, SpmmBackward bwd,
                           const core::ag::Var &x, const KernelCtx &ctx);
-
-/**
- * Mean-aggregation counterpart of spmmScatterBwdVar for bipartite
- * blocks: same fusion/fallback behavior as spmmMeanVar, backward runs
- * the scatter-form kernel over the same adjacency with inverse-degree
- * edge weights.
- */
-core::ag::Var spmmMeanScatterBwdVar(
-    std::shared_ptr<const graph::CsrGraph> csc, const core::ag::Var &x,
-    const KernelCtx &ctx);
 
 /// @}
 

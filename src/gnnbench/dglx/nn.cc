@@ -16,8 +16,10 @@ namespace {
 Var
 propagateNorm(const Graph &g, const Var &x, const KernelCtx &ctx)
 {
-    Var agg = spmmVar(g.csc(), g.gcnNormCsc().data(), nn::borrow(g.csr()),
-                      nn::borrow(g.gcnNormCsr()), x, ctx);
+    Var agg = spmmVar(g.csc(), g.gcnNormCsc().data(),
+                      SpmmBackward::transpose(nn::borrow(g.csr()),
+                                              nn::borrow(g.gcnNormCsr())),
+                      x, ctx);
     std::vector<float> self;
     runPrep(ctx, static_cast<double>(g.numNodes()), [&] {
         self.resize(g.numNodes());
@@ -54,8 +56,10 @@ GcnConv::forwardInduced(const graph::CsrGraph &adj,
     Var xw = gemmVar(x, weight_, ctx);
     // Symmetric adjacency + symmetric weight function: the same
     // structure/weights serve forward and backward.
-    Var agg = spmmVar(adj, gcn_norm.data(), nn::borrow(adj),
-                      nn::borrow(gcn_norm), xw, ctx);
+    Var agg = spmmVar(adj, gcn_norm.data(),
+                      SpmmBackward::transpose(nn::borrow(adj),
+                                              nn::borrow(gcn_norm)),
+                      xw, ctx);
     Var h = addVar(agg, rowScaleVar(xw, self_scale, ctx), ctx);
     return addBiasVar(h, bias_, ctx);
 }
@@ -130,7 +134,8 @@ SageConv::forward(const Graph &g, const Var &x, const KernelCtx &ctx)
 {
     // Mean aggregation through the kernel graph: the spmm→row-scale
     // chain fuses into one gspmm_mean kernel when fusion is on.
-    Var agg = spmmMeanVar(g.csc(), nn::borrow(g.csr()), x, ctx);
+    Var agg = spmmMeanVar(
+        g.csc(), SpmmBackward::transpose(nn::borrow(g.csr())), x, ctx);
     Var h = addVar(gemmVar(x, selfWeight_, ctx),
                     gemmVar(agg, neighWeight_, ctx), ctx);
     return addBiasVar(h, bias_, ctx);
@@ -144,7 +149,9 @@ SageConv::forwardBlock(const sampling::Block &block, const Var &x_src,
     // structure — no transpose is ever materialized (DGL's approach).
     // The mean normalization fuses into the aggregation kernel when
     // the kernel graph allows it.
-    Var agg = spmmMeanScatterBwdVar(nn::borrow(block.csc), x_src, ctx);
+    Var agg = spmmMeanVar(block.csc,
+                          SpmmBackward::scatter(nn::borrow(block.csc)),
+                          x_src, ctx);
     // Destination features are the first |dst| rows of x_src.
     std::vector<NodeId> dst_rows(block.dstNodes.size());
     for (size_t i = 0; i < dst_rows.size(); ++i)
@@ -159,7 +166,8 @@ Var
 SageConv::forwardInduced(const graph::CsrGraph &adj, const Var &x,
                          const KernelCtx &ctx)
 {
-    Var agg = spmmMeanVar(adj, nn::borrow(adj), x, ctx);
+    Var agg = spmmMeanVar(adj, SpmmBackward::transpose(nn::borrow(adj)),
+                          x, ctx);
     Var h = addVar(gemmVar(x, selfWeight_, ctx),
                     gemmVar(agg, neighWeight_, ctx), ctx);
     return addBiasVar(h, bias_, ctx);

@@ -124,13 +124,16 @@ setDefaultVariant(KernelVariant v)
 KernelVariant
 resolveVariant(KernelVariant v, EdgeId nnz, int64_t f)
 {
+    (void)f;
     if (v == KernelVariant::Auto)
         v = defaultVariant();
-    if (v != KernelVariant::Auto)
-        return v;
-    (void)f;
-    return nnz < Tiling::kAutoReferenceNnz ? KernelVariant::Reference
-                                           : KernelVariant::Simd;
+    if (v == KernelVariant::Auto)
+        v = nnz < Tiling::kAutoReferenceNnz ? KernelVariant::Reference
+                                            : KernelVariant::Simd;
+    // Without the AVX2 row kernels, Simd is exactly its Tiled loops.
+    if (v == KernelVariant::Simd && !simd::available())
+        return KernelVariant::Tiled;
+    return v;
 }
 
 std::string
@@ -142,7 +145,7 @@ resolvedVariantLabel(KernelVariant v)
         resolveVariant(v, Tiling::kAutoReferenceNnz + 1, 1);
     std::string label = variantName(chosen);
     if (chosen == KernelVariant::Simd)
-        label += std::string("[") + simd::isaLabel() + "]";
+        label += "[avx2]";
     return label;
 }
 

@@ -7,7 +7,6 @@
 #include "gnnbench/core/parallel.h"
 #include "gnnbench/device/hierarchy.h"
 #include "gnnbench/kernels/detail.h"
-#include "gnnbench/kernels/simd.h"
 #include "gnnbench/profiling/metrics_registry.h"
 
 namespace gnnbench {
@@ -172,29 +171,10 @@ gatherScatterSum(const Tensor &x, const std::vector<NodeId> &src,
             }
         }
     };
-    auto fusedTileSimd = [&](int64_t j0, int64_t j1) {
-        const int64_t len = j1 - j0;
-        for (int64_t i = 0; i < n; ++i) {
-            float *o = out.row(dst[static_cast<size_t>(i)]) + j0;
-            const float *s = x.row(src[static_cast<size_t>(i)]) + j0;
-            if (w)
-                simd::axpy(o, s, w[i], len);
-            else
-                simd::add(o, s, len);
-        }
-    };
-    if (chosen == KernelVariant::Reference) {
+    if (chosen == KernelVariant::Reference)
         fusedTile(0, f);
-        return out;
-    }
-    const bool useSimd = chosen == KernelVariant::Simd;
-    core::parallel::parallelFor(
-        0, f, Tiling::kFeatTile, [&](int64_t j0, int64_t j1) {
-            if (useSimd)
-                fusedTileSimd(j0, j1);
-            else
-                fusedTile(j0, j1);
-        });
+    else
+        core::parallel::parallelFor(0, f, Tiling::kFeatTile, fusedTile);
     return out;
 }
 

@@ -19,12 +19,12 @@
  *    nnz (Gunrock-style load-balanced row partitioning), and
  *    heavy-row parallelism across feature tiles, all running over
  *    core/parallel.
- *  - KernelVariant::Simd — Tiled's decomposition with explicitly
- *    vectorized inner loops (AVX2 selected by runtime CPU-feature
- *    dispatch, register-blocked `restrict` fallback elsewhere) that
- *    keep each output feature tile in registers across a row's whole
- *    edge list.  Same arithmetic order as Reference, so still
- *    bit-identical (see kernels/simd.h).
+ *  - KernelVariant::Simd — Tiled with hand-written AVX2 row kernels
+ *    for spmm and segmentSumRows, which keep each output feature
+ *    tile in registers across a row's whole edge list; every other
+ *    entry point runs its Tiled loop.  Same arithmetic order as
+ *    Reference, so still bit-identical (see kernels/simd.h).  Where
+ *    the build or the CPU lacks AVX2, Simd resolves to Tiled.
  *
  * Determinism contract: work decomposes into chunks that depend only
  * on the problem (graph + feature width), never on the pool size, a
@@ -92,16 +92,16 @@ void setDefaultVariant(KernelVariant v);
  * Resolve Auto into a concrete variant for a problem of @p nnz stored
  * entries and feature width @p f: tiny problems stay on Reference
  * (the panel build would dominate), everything else runs Simd.
- * Explicit variants pass through untouched.
+ * Simd, explicit or chosen by Auto, becomes Tiled where the AVX2 row
+ * kernels are unavailable; other explicit variants pass through.
  */
 KernelVariant resolveVariant(KernelVariant v, EdgeId nnz, int64_t f);
 
 /**
  * Human-readable label of what @p v actually executes on this machine
  * once Auto policy and CPU-feature dispatch are applied, for bench
- * reports: e.g. Auto -> "simd[avx2]" (large-problem policy choice on
- * an AVX2 CPU), "simd[portable]", "tiled", "reference".  The Auto
- * policy is reported for the large-problem regime (nnz above
+ * reports: "simd[avx2]", "tiled" or "reference".  The Auto policy is
+ * reported for the large-problem regime (nnz above
  * Tiling::kAutoReferenceNnz), which is what benches measure.
  */
 std::string resolvedVariantLabel(KernelVariant v = KernelVariant::Auto);

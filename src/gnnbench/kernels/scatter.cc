@@ -19,7 +19,6 @@
 #include "gnnbench/core/parallel.h"
 #include "gnnbench/kernels/detail.h"
 #include "gnnbench/kernels/kernels.h"
-#include "gnnbench/kernels/simd.h"
 
 namespace gnnbench {
 namespace kernels {
@@ -93,24 +92,11 @@ scatterSum(const Tensor &src, const std::vector<NodeId> &idx,
                 orow[j] += srow[j];
         }
     };
-    auto scatterTileSimd = [&](int64_t j0, int64_t j1) {
-        const int64_t len = j1 - j0;
-        for (int64_t i = 0; i < n; ++i)
-            simd::add(out.row(idx[static_cast<size_t>(i)]) + j0,
-                      src.row(i) + j0, len);
-    };
-    if (chosen == KernelVariant::Reference) {
+    if (chosen == KernelVariant::Reference)
         scatterTile(0, f);
-        return out;
-    }
-    const bool useSimd = chosen == KernelVariant::Simd;
-    core::parallel::parallelFor(
-        0, f, Tiling::kFeatTile, [&](int64_t j0, int64_t j1) {
-            if (useSimd)
-                scatterTileSimd(j0, j1);
-            else
-                scatterTile(j0, j1);
-        });
+    else
+        core::parallel::parallelFor(0, f, Tiling::kFeatTile,
+                                    scatterTile);
     return out;
 }
 
@@ -127,7 +113,6 @@ scatterMean(const Tensor &src, const std::vector<NodeId> &idx,
         ++count[static_cast<size_t>(r)];
     const KernelVariant chosen =
         resolveVariant(v, static_cast<EdgeId>(idx.size()), f);
-    const bool useSimd = chosen == KernelVariant::Simd;
     auto divideRows = [&](int64_t b, int64_t e) {
         for (int64_t r = b; r < e; ++r) {
             const int64_t c = count[static_cast<size_t>(r)];
@@ -135,10 +120,6 @@ scatterMean(const Tensor &src, const std::vector<NodeId> &idx,
                 continue;
             const float inv = 1.0f / static_cast<float>(c);
             float *__restrict orow = out.row(r);
-            if (useSimd) {
-                simd::scale(orow, inv, f);
-                continue;
-            }
             for (int64_t j = 0; j < f; ++j)
                 orow[j] *= inv;
         }
@@ -175,7 +156,6 @@ scatterMax(const Tensor &src, const std::vector<NodeId> &idx,
     for (const NodeId r : idx)
         touched[static_cast<size_t>(r)] = 1;
 
-    const bool useSimd = chosen == KernelVariant::Simd;
     auto maxTile = [&](int64_t j0, int64_t j1) {
         for (int64_t r = 0; r < out_rows; ++r) {
             float *__restrict orow = out.row(r);
@@ -184,15 +164,10 @@ scatterMax(const Tensor &src, const std::vector<NodeId> &idx,
             for (int64_t j = j0; j < j1; ++j)
                 orow[j] = init;
         }
-        const int64_t len = j1 - j0;
         for (int64_t i = 0; i < n; ++i) {
             float *__restrict orow =
                 out.row(idx[static_cast<size_t>(i)]);
             const float *__restrict srow = src.row(i);
-            if (useSimd) {
-                simd::maxInto(orow + j0, srow + j0, len);
-                continue;
-            }
             for (int64_t j = j0; j < j1; ++j)
                 orow[j] = std::max(orow[j], srow[j]);
         }
@@ -200,9 +175,7 @@ scatterMax(const Tensor &src, const std::vector<NodeId> &idx,
     if (chosen == KernelVariant::Reference)
         maxTile(0, f);
     else
-        core::parallel::parallelFor(
-            0, f, Tiling::kFeatTile,
-            [&](int64_t j0, int64_t j1) { maxTile(j0, j1); });
+        core::parallel::parallelFor(0, f, Tiling::kFeatTile, maxTile);
     return out;
 }
 

@@ -13,7 +13,6 @@
 #include "gnnbench/core/parallel.h"
 #include "gnnbench/kernels/detail.h"
 #include "gnnbench/kernels/kernels.h"
-#include "gnnbench/kernels/simd.h"
 
 namespace gnnbench {
 namespace kernels {
@@ -88,7 +87,6 @@ sddmmAdd(const CsrGraph &adj, const Tensor &a_row, const Tensor &b_col,
     if (h == 0 || adj.numRows == 0)
         return out;
     const NodeId *idx = adj.indices.data();
-    const bool useSimd = chosen == KernelVariant::Simd;
     runPanels(adj, chosen, [&](NodeId r0, NodeId r1) {
         for (NodeId r = r0; r < r1; ++r) {
             const float *__restrict arow = a_row.row(r);
@@ -97,10 +95,6 @@ sddmmAdd(const CsrGraph &adj, const Tensor &a_row, const Tensor &b_col,
             for (EdgeId e = e0; e < e1; ++e) {
                 const float *__restrict brow = b_col.row(idx[e]);
                 float *__restrict orow = out.row(e);
-                if (useSimd) {
-                    simd::addInto(orow, arow, brow, h);
-                    continue;
-                }
                 for (int64_t j = 0; j < h; ++j)
                     orow[j] = arow[j] + brow[j];
             }
@@ -132,9 +126,8 @@ sddmmDot(const CsrGraph &adj, const Tensor &a_row, const Tensor &b_col,
     if (adj.numRows == 0)
         return out;
     const NodeId *idx = adj.indices.data();
-    // Simd uses dotOrdered, an unrolled serial chain: a lane-parallel
-    // reduction would reassociate the sum and break bit-equality.
-    const bool useSimd = chosen == KernelVariant::Simd;
+    // A serial chain per edge: a lane-parallel reduction would
+    // reassociate the sum and break bit-equality.
     runPanels(adj, chosen, [&](NodeId r0, NodeId r1) {
         for (NodeId r = r0; r < r1; ++r) {
             const float *__restrict arow = a_row.row(r);
@@ -142,10 +135,6 @@ sddmmDot(const CsrGraph &adj, const Tensor &a_row, const Tensor &b_col,
             const EdgeId e1 = adj.indptr[r + 1];
             for (EdgeId e = e0; e < e1; ++e) {
                 const float *__restrict brow = b_col.row(idx[e]);
-                if (useSimd) {
-                    out(e, 0) = simd::dotOrdered(arow, brow, h);
-                    continue;
-                }
                 float acc = 0.0f;
                 for (int64_t j = 0; j < h; ++j)
                     acc += arow[j] * brow[j];

@@ -1,30 +1,25 @@
 /**
  * @file
- * SIMD microkernels backing KernelVariant::Simd.  Internal to the
+ * AVX2 row kernels backing KernelVariant::Simd.  Internal to the
  * kernel layer (and its conformance tests); include kernels.h for the
  * public API.
  *
- * Two interchangeable implementations sit behind every entry point:
- *
- *  - an AVX2 family (x86 only, compiled with per-function target
- *    attributes so the rest of the build needs no -mavx2), and
- *  - a portable family: register-blocked `restrict` loops with
- *    constant trip counts the compiler unrolls and auto-vectorizes
- *    for whatever ISA the build targets.
- *
- * Dispatch is resolved at runtime from CPUID (see avx2Active()); the
- * GNNBENCH_SIMD environment variable and setForcePortable() override
- * it, and -DGNNBENCH_DISABLE_AVX2=ON removes the AVX2 family from the
- * build entirely (the CI matrix builds one such leg).
+ * Only the register-blocked row kernels live here: they keep a row's
+ * output tile in registers across its whole edge list, which is the
+ * one place hand-written lanes beat the compiler-vectorized Tiled
+ * loops (docs/kernels.md records the measurements).  Every other
+ * kernel runs its Tiled loop under Simd.  The kernels are compiled
+ * with per-function target attributes, so the rest of the build needs
+ * no -mavx2; -DGNNBENCH_DISABLE_AVX2=ON and non-x86 builds leave them
+ * out, and resolveVariant() then maps Simd to Tiled.
  *
  * Bit-exactness: every kernel here accumulates each output element in
  * ascending stored-edge order using separate multiply and add (never
  * a fused multiply-add), which is the Reference arithmetic — the
  * kernels translation units are compiled with -ffp-contract=off so
- * the scalar golden model cannot silently contract either.  The AVX2
- * and portable families are therefore bit-identical to each other and
- * to Reference for sum/mean; max matches the scalar
- * `std::max(acc, x)` selection exactly (the operand order of
+ * the scalar golden model cannot silently contract either.  Sum and
+ * mean are therefore bit-identical to Reference; max matches the
+ * scalar `std::max(acc, x)` selection exactly (the operand order of
  * _mm256_max_ps is chosen to reproduce its NaN/zero semantics).
  */
 
@@ -40,28 +35,10 @@ namespace gnnbench {
 namespace kernels {
 namespace simd {
 
-/** True when the AVX2 family exists in this build
- *  (x86 and not -DGNNBENCH_DISABLE_AVX2=ON). */
-bool avx2CompiledIn();
-
-/** True when the CPU reports AVX2 support. */
-bool avx2Supported();
-
-/**
- * True when the AVX2 microkernels will actually run: compiled in,
- * supported by the CPU, not overridden by GNNBENCH_SIMD=portable or
- * setForcePortable(true).  GNNBENCH_SIMD=avx2 asserts availability
- * (fatal when the build or CPU cannot honor it); any other value of
- * the variable is rejected with a fatal error.
- */
-bool avx2Active();
-
-/** Test hook: force the portable family regardless of CPU support.
- *  Pass false to restore CPUID dispatch. */
-void setForcePortable(bool force);
-
-/** "avx2" or "portable" — the ISA Simd resolves to right now. */
-const char *isaLabel();
+/** True when the AVX2 row kernels are compiled in (x86 and not
+ *  -DGNNBENCH_DISABLE_AVX2=ON) and the CPU reports AVX2.  The row
+ *  kernels below may only be called when this holds. */
+bool available();
 
 /// @name Row-range kernels (the Simd inner loops of spmm.cc)
 /// Each processes rows [r0, r1) over columns [j0, j1) with the output
@@ -81,35 +58,6 @@ void spmmMaxRows(const graph::CsrGraph &adj, const core::Tensor &x,
 void segmentSumRows(const graph::CsrGraph &adj, const core::Tensor &x,
                     core::Tensor &out, NodeId r0, NodeId r1,
                     int64_t j0, int64_t j1);
-
-/// @}
-/// @name Contiguous-range primitives (scatter / SDDMM inner loops)
-/// @{
-
-/** o[k] += w * x[k] for k in [0, len). */
-void axpy(float *o, const float *x, float w, int64_t len);
-
-/** o[k] += x[k] for k in [0, len). */
-void add(float *o, const float *x, int64_t len);
-
-/** o[k] = a[k] + b[k] for k in [0, len). */
-void addInto(float *o, const float *a, const float *b, int64_t len);
-
-/** o[k] = max(o[k], x[k]) for k in [0, len), scalar std::max
- *  selection semantics. */
-void maxInto(float *o, const float *x, int64_t len);
-
-/** o[k] *= s for k in [0, len). */
-void scale(float *o, float s, int64_t len);
-
-/**
- * Ascending-k dot product of a and b.  Deliberately NOT
- * lane-parallel: a vector reduction would reassociate the sum and
- * break bit-equality with Reference, so this is an unrolled serial
- * chain — sddmmDot keeps the scalar accumulation order in every
- * variant.
- */
-float dotOrdered(const float *a, const float *b, int64_t len);
 
 /// @}
 

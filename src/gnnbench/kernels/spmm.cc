@@ -281,33 +281,11 @@ spmmScatter(const CsrGraph &adj, const Tensor &x, const float *w,
             }
         }
     };
-    auto scatterTileSimd = [&](int64_t j0, int64_t j1) {
-        const int64_t len = j1 - j0;
-        for (NodeId r = 0; r < adj.numRows; ++r) {
-            const float *xrow = x.row(r) + j0;
-            const EdgeId e0 = adj.indptr[r];
-            const EdgeId e1 = adj.indptr[r + 1];
-            for (EdgeId e = e0; e < e1; ++e) {
-                float *orow = out.row(idx[e]) + j0;
-                if (w)
-                    simd::axpy(orow, xrow, w[e], len);
-                else
-                    simd::add(orow, xrow, len);
-            }
-        }
-    };
-    if (chosen == KernelVariant::Reference) {
+    if (chosen == KernelVariant::Reference)
         scatterTile(0, f);
-        return out;
-    }
-    const bool useSimd = chosen == KernelVariant::Simd;
-    core::parallel::parallelFor(
-        0, f, Tiling::kFeatTile, [&](int64_t j0, int64_t j1) {
-            if (useSimd)
-                scatterTileSimd(j0, j1);
-            else
-                scatterTile(j0, j1);
-        });
+    else
+        core::parallel::parallelFor(0, f, Tiling::kFeatTile,
+                                    scatterTile);
     return out;
 }
 
@@ -458,24 +436,11 @@ scatterSumCols(const CsrGraph &adj, const Tensor &x, KernelVariant v,
                 orow[j] += xrow[j];
         }
     };
-    auto scatterTileSimd = [&](int64_t j0, int64_t j1) {
-        const EdgeId nnz = adj.numEdges();
-        const int64_t len = j1 - j0;
-        for (EdgeId e = 0; e < nnz; ++e)
-            simd::add(out.row(idx[e]) + j0, x.row(e) + j0, len);
-    };
-    if (chosen == KernelVariant::Reference) {
+    if (chosen == KernelVariant::Reference)
         scatterTile(0, f);
-        return out;
-    }
-    const bool useSimd = chosen == KernelVariant::Simd;
-    core::parallel::parallelFor(
-        0, f, Tiling::kFeatTile, [&](int64_t j0, int64_t j1) {
-            if (useSimd)
-                scatterTileSimd(j0, j1);
-            else
-                scatterTile(j0, j1);
-        });
+    else
+        core::parallel::parallelFor(0, f, Tiling::kFeatTile,
+                                    scatterTile);
     return out;
 }
 

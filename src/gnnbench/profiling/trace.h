@@ -35,6 +35,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -171,26 +172,34 @@ class TraceRecorder
     int nextSyntheticTid_ = 1000;
 };
 
-/** RAII complete-event scope on the calling thread's lane. */
+/**
+ * RAII complete-event scope on the calling thread's lane.  The event
+ * is named @p name, or "<name> <id>" when an @p id is given (e.g.
+ * "batch 12"); the string is built only while the recorder is on, so
+ * a scope costs no allocation when tracing is off.  @p name and
+ * @p category must outlive the scope (string literals do).
+ */
 class TraceScope
 {
   public:
-    TraceScope(TraceRecorder &recorder, std::string name,
-               const char *category)
-        : recorder_(recorder.enabled() ? &recorder : nullptr)
+    TraceScope(TraceRecorder &recorder, const char *name,
+               const char *category, std::optional<int64_t> id = {})
+        : recorder_(recorder.enabled() ? &recorder : nullptr),
+          name_(name), category_(category), id_(id)
     {
-        if (recorder_) {
-            name_ = std::move(name);
-            category_ = category;
+        if (recorder_)
             start_ = recorder_->now();
-        }
     }
 
     ~TraceScope()
     {
-        if (recorder_)
-            recorder_->record(std::move(name_), category_, start_,
-                              recorder_->now());
+        if (!recorder_)
+            return;
+        const double end = recorder_->now();
+        recorder_->record(id_ ? std::string(name_) + " " +
+                                    std::to_string(*id_)
+                              : std::string(name_),
+                          category_, start_, end);
     }
 
     TraceScope(const TraceScope &) = delete;
@@ -198,8 +207,9 @@ class TraceScope
 
   private:
     TraceRecorder *recorder_;
-    std::string name_;
-    const char *category_ = "";
+    const char *name_;
+    const char *category_;
+    std::optional<int64_t> id_;
     double start_ = 0.0;
 };
 

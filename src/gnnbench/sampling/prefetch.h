@@ -132,9 +132,8 @@ class Prefetcher
                 profiling::TraceRecorder::global();
             std::optional<Batch> batch;
             {
-                profiling::TraceScope ts(
-                    trace, "batch " + std::to_string(nextBatch_),
-                    "prefetch");
+                profiling::TraceScope ts(trace, "batch", "prefetch",
+                                         nextBatch_);
                 batch.emplace(inlineProducer_(nextBatch_));
             }
             ++nextBatch_;
@@ -221,9 +220,8 @@ class Prefetcher
                 timer.reset();
                 std::optional<Batch> batch;
                 {
-                    profiling::TraceScope ts(
-                        trace, "batch " + std::to_string(i),
-                        "prefetch");
+                    profiling::TraceScope ts(trace, "batch",
+                                             "prefetch", i);
                     batch.emplace(producer(i));
                 }
                 busy += timer.elapsed();

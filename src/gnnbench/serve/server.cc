@@ -160,9 +160,8 @@ Server::runWorker(int worker_index)
         WeightSnapshot weights = store_.acquire();
         GNNBENCH_ASSERT(weights != nullptr,
                         "batch formed before any weight publish");
-        profiling::TraceScope ts(
-            trace, "batch " + std::to_string(batch->batchId),
-            "serve");
+        profiling::TraceScope ts(trace, "batch", "serve",
+                                 batch->batchId);
         for (const Request &r : batch->requests) {
             // The sampled neighborhood is a pure function of the
             // request id — independent of batching, worker count,

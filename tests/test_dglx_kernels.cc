@@ -226,8 +226,8 @@ TEST(SpmmVar, GradientMatchesTranspose)
     KernelCtx ctx;
     core::ag::Var x =
         core::ag::leaf(Tensor::randn(16, 3, rng), true);
-    core::ag::Var y =
-        spmmVar(csc, nullptr, nn::borrow(csr), nullptr, x, ctx);
+    core::ag::Var y = spmmVar(
+        csc, nullptr, SpmmBackward::transpose(nn::borrow(csr)), x, ctx);
     Tensor seed = Tensor::full(16, 3, 1.0f);
     core::ag::backward(y, &seed);
     Tensor expected = core::ops::matmul(
@@ -244,7 +244,8 @@ TEST(SpmmScatterBwdVar, GradientMatchesTranspose)
     KernelCtx ctx;
     core::ag::Var x =
         core::ag::leaf(Tensor::randn(14, 2, rng), true);
-    core::ag::Var y = spmmScatterBwdVar(nn::borrow(csc), nullptr, x, ctx);
+    core::ag::Var y = spmmVar(
+        csc, nullptr, SpmmBackward::scatter(nn::borrow(csc)), x, ctx);
     Tensor seed = Tensor::full(14, 2, 1.0f);
     core::ag::backward(y, &seed);
     Tensor expected = core::ops::matmul(

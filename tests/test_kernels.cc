@@ -27,6 +27,7 @@
 #include "gnnbench/kernels/detail.h"
 #include "gnnbench/kernels/kernels.h"
 #include "gnnbench/kernels/simd.h"
+#include "gnnbench/profiling/metrics_registry.h"
 
 #include "test_support.h"
 
@@ -44,13 +45,6 @@ constexpr int64_t kWidths[] = {1, 7, 16, 64, 257};
 /** The optimized variants checked against Reference. */
 constexpr KernelVariant kOptVariants[] = {KernelVariant::Tiled,
                                           KernelVariant::Simd};
-
-/** RAII: run a scope on the portable Simd family, then restore. */
-struct ForcePortableScope
-{
-    ForcePortableScope() { simd::setForcePortable(true); }
-    ~ForcePortableScope() { simd::setForcePortable(false); }
-};
 
 PropertyOptions
 opts(int cases)
@@ -147,9 +141,7 @@ compareOutputs(ReduceOp op, const Tensor &tiled, const Tensor &ref,
     return bitEqual(tiled, ref, what);
 }
 
-/** spmm conformance on one generated case at one feature width.
- *  For Simd the case additionally reruns on the portable family and
- *  requires the two ISA implementations to agree bit-for-bit. */
+/** spmm conformance on one generated case at one feature width. */
 Result
 spmmConformance(const GraphCase &c, KernelVariant variant,
                 ReduceOp op, int64_t f, bool weighted)
@@ -168,14 +160,7 @@ spmmConformance(const GraphCase &c, KernelVariant variant,
                              "/f=" + std::to_string(f);
     const Tensor ref =
         spmm(csc, x, op, wp, KernelVariant::Reference);
-    const Tensor out = spmm(csc, x, op, wp, variant);
-    Result r = compareOutputs(op, out, ref, what);
-    if (!r || variant != KernelVariant::Simd ||
-        !simd::avx2Active())
-        return r;
-    ForcePortableScope portable;
-    return bitEqual(spmm(csc, x, op, wp, variant), out,
-                    what + " (avx2 vs portable)");
+    return compareOutputs(op, spmm(csc, x, op, wp, variant), ref, what);
 }
 
 struct VariantOpWidth
@@ -340,12 +325,6 @@ TEST_P(FamilyConformance, MatchesReference)
         std::string("kernel-family-") + variantName(p.variant) +
             "-f" + std::to_string(p.f),
         [p](const GraphCase &c) {
-            Result r = familyConformance(c, p.variant, p.f);
-            if (!r || p.variant != KernelVariant::Simd ||
-                !simd::avx2Active())
-                return r;
-            // The whole family must also conform on the portable ISA.
-            ForcePortableScope portable;
             return familyConformance(c, p.variant, p.f);
         },
         opts(10)));
@@ -519,24 +498,14 @@ TEST(KernelDispatch, ResolvedVariantLabel)
 {
     const KernelVariant saved = defaultVariant();
     setDefaultVariant(KernelVariant::Auto);
-    const std::string expectSimd =
-        std::string("simd[") + simd::isaLabel() + "]";
-    EXPECT_EQ(resolvedVariantLabel(), expectSimd);
+    EXPECT_EQ(resolvedVariantLabel(),
+              simd::available() ? "simd[avx2]" : "tiled");
     EXPECT_EQ(resolvedVariantLabel(KernelVariant::Tiled), "tiled");
     EXPECT_EQ(resolvedVariantLabel(KernelVariant::Reference),
               "reference");
     setDefaultVariant(KernelVariant::Reference);
     EXPECT_EQ(resolvedVariantLabel(), "reference");
     setDefaultVariant(saved);
-
-    // The ISA label is consistent with the dispatch predicate, and
-    // the portable override flips it.
-    EXPECT_STREQ(simd::isaLabel(),
-                 simd::avx2Active() ? "avx2" : "portable");
-    if (simd::avx2Active()) {
-        ForcePortableScope portable;
-        EXPECT_STREQ(simd::isaLabel(), "portable");
-    }
 }
 
 TEST(KernelDispatch, AutoPolicyAndDefaultOverride)
@@ -548,7 +517,8 @@ TEST(KernelDispatch, AutoPolicyAndDefaultOverride)
               KernelVariant::Tiled);
     // Auto: tiny problems stay serial, large ones run Simd (which is
     // bit-identical to Tiled, so the policy switch is unobservable in
-    // results).
+    // results; SimdResolvesToTiledWithoutAvx2 covers builds without
+    // the row kernels).
     const KernelVariant saved = defaultVariant();
     setDefaultVariant(KernelVariant::Auto);
     EXPECT_EQ(resolveVariant(KernelVariant::Auto,
@@ -556,12 +526,43 @@ TEST(KernelDispatch, AutoPolicyAndDefaultOverride)
               KernelVariant::Reference);
     EXPECT_EQ(resolveVariant(KernelVariant::Auto,
                              Tiling::kAutoReferenceNnz, 64),
-              KernelVariant::Simd);
+              resolveVariant(KernelVariant::Simd,
+                             Tiling::kAutoReferenceNnz, 64));
     // A process-wide default redirects Auto call sites.
     setDefaultVariant(KernelVariant::Reference);
     EXPECT_EQ(resolveVariant(KernelVariant::Auto, 1 << 20, 64),
               KernelVariant::Reference);
     setDefaultVariant(saved);
+}
+
+/** Simd means the AVX2 row kernels; without them it runs, and
+ *  reports, Tiled (the release-noavx2 CI leg takes that branch). */
+TEST(KernelDispatch, SimdResolvesToTiledWithoutAvx2)
+{
+    const KernelVariant simdOrTiled =
+        simd::available() ? KernelVariant::Simd : KernelVariant::Tiled;
+    const KernelVariant saved = defaultVariant();
+    setDefaultVariant(KernelVariant::Auto);
+    EXPECT_EQ(resolveVariant(KernelVariant::Simd, 1, 64), simdOrTiled);
+    EXPECT_EQ(resolveVariant(KernelVariant::Auto, 1 << 20, 64),
+              simdOrTiled);
+    EXPECT_EQ(resolvedVariantLabel(KernelVariant::Simd),
+              resolvedVariantLabel());
+    setDefaultVariant(saved);
+
+    // The label names what the per-variant counter saw run.
+    profiling::Counter &tiled =
+        profiling::MetricsRegistry::global().counter(
+            "kernels.variant.tiled");
+    const uint64_t before = tiled.value();
+    const graph::CsrGraph csc =
+        graph::cooToCsc(check::generateGraphCase(testenv::seed()).coo);
+    spmm(csc, randFeat(csc.numCols, 8, testenv::seed() ^ 0x51D),
+         ReduceOp::Sum, nullptr, KernelVariant::Simd);
+    const bool ranTiled = tiled.value() > before;
+    EXPECT_EQ(ranTiled, !simd::available());
+    EXPECT_EQ(ranTiled,
+              resolvedVariantLabel(KernelVariant::Simd) == "tiled");
 }
 
 TEST(KernelStatsSink, RecordsPerChunkSeconds)

@@ -16,7 +16,6 @@
 #include "gnnbench/core/rng.h"
 #include "gnnbench/device/hierarchy.h"
 #include "gnnbench/kernels/kernels.h"
-#include "gnnbench/kernels/simd.h"
 #include "gnnbench/profiling/perf_counters.h"
 
 namespace gnnbench {
@@ -376,7 +375,6 @@ const WordKnob kWordKnobs[] = {
      [] {
          return kernels::defaultVariant() == kernels::KernelVariant::Tiled;
      }},
-    {"GNNBENCH_SIMD", [] { return kernels::simd::avx2Active(); }},
     {"GNNBENCH_DEVICE_FUSION",
      [] { return device::deviceConfigFromEnv().fusionEnabled; }},
     {"GNNBENCH_PERF", [] { return profiling::perfAvailable(); }},
@@ -414,17 +412,16 @@ TEST(ParseDeathTest, WordKnobSpellingsKeepTheirMeaning)
     } rows[] = {
         {kWordKnobs[0], "tiled", true},
         {kWordKnobs[0], "auto", false},
-        {kWordKnobs[1], "portable", false},
-        {kWordKnobs[2], "on", true},
+        {kWordKnobs[1], "on", true},
+        {kWordKnobs[1], "off", false},
         {kWordKnobs[2], "off", false},
+        {kWordKnobs[3], "", false},
+        {kWordKnobs[3], "0", false},
         {kWordKnobs[3], "off", false},
-        {kWordKnobs[4], "", false},
-        {kWordKnobs[4], "0", false},
-        {kWordKnobs[4], "off", false},
-        {kWordKnobs[4], "false", false},
-        {kWordKnobs[4], "1", true},
-        {kWordKnobs[4], "on", true},
-        {kWordKnobs[4], "true", true},
+        {kWordKnobs[3], "false", false},
+        {kWordKnobs[3], "1", true},
+        {kWordKnobs[3], "on", true},
+        {kWordKnobs[3], "true", true},
     };
     for (const auto &r : rows) {
         SCOPED_TRACE(std::string(r.knob.name) + "=" + r.value);
