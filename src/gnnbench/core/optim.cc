@@ -5,64 +5,26 @@
 namespace gnnbench {
 namespace core {
 
-Optimizer::Optimizer(std::vector<ag::Var> params)
-    : params_(std::move(params))
-{
-    for (const auto &p : params_)
-        GNNBENCH_CHECK(p && p->requiresGrad,
-                       "optimizer parameter must require grad");
-}
-
-void
-Optimizer::zeroGrad()
-{
-    for (auto &p : params_)
-        p->zeroGrad();
-}
-
-Sgd::Sgd(std::vector<ag::Var> params, float lr, float momentum)
-    : Optimizer(std::move(params)), lr_(lr), momentum_(momentum)
-{
-    if (momentum_ != 0.0f) {
-        velocity_.reserve(params_.size());
-        for (const auto &p : params_)
-            velocity_.emplace_back(p->value.rows(), p->value.cols());
-    }
-}
-
-void
-Sgd::step()
-{
-    for (size_t i = 0; i < params_.size(); ++i) {
-        auto &p = params_[i];
-        if (p->grad.empty())
-            continue;
-        if (momentum_ == 0.0f) {
-            ops::axpy(p->value, p->grad, -lr_);
-        } else {
-            Tensor &vel = velocity_[i];
-            float *vp = vel.data();
-            const float *gp = p->grad.data();
-            float *xp = p->value.data();
-            for (int64_t j = 0; j < vel.numel(); ++j) {
-                vp[j] = momentum_ * vp[j] + gp[j];
-                xp[j] -= lr_ * vp[j];
-            }
-        }
-    }
-}
-
 Adam::Adam(std::vector<ag::Var> params, float lr, float beta1, float beta2,
            float eps)
-    : Optimizer(std::move(params)), lr_(lr), beta1_(beta1), beta2_(beta2),
+    : params_(std::move(params)), lr_(lr), beta1_(beta1), beta2_(beta2),
       eps_(eps)
 {
     m_.reserve(params_.size());
     v_.reserve(params_.size());
     for (const auto &p : params_) {
+        GNNBENCH_CHECK(p && p->requiresGrad,
+                       "optimizer parameter must require grad");
         m_.emplace_back(p->value.rows(), p->value.cols());
         v_.emplace_back(p->value.rows(), p->value.cols());
     }
+}
+
+void
+Adam::zeroGrad()
+{
+    for (auto &p : params_)
+        p->zeroGrad();
 }
 
 void

@@ -1,9 +1,7 @@
 /**
  * @file
- * First-order optimizers over autograd leaf parameters.
- *
- * The paper's GNN models are trained with Adam (the DGL/PyG example
- * default); SGD is provided for tests and ablations.
+ * The optimizer over autograd leaf parameters: Adam, the DGL/PyG
+ * example default the paper's GNN models train with.
  */
 
 #ifndef GNNBENCH_CORE_OPTIM_H
@@ -16,15 +14,16 @@
 namespace gnnbench {
 namespace core {
 
-/** Abstract optimizer over a fixed set of trainable parameters. */
-class Optimizer
+/** Adam (Kingma & Ba, 2015) with PyTorch-default hyperparameters,
+ *  over a fixed set of trainable parameters. */
+class Adam
 {
   public:
-    explicit Optimizer(std::vector<ag::Var> params);
-    virtual ~Optimizer() = default;
+    Adam(std::vector<ag::Var> params, float lr = 1e-3f,
+         float beta1 = 0.9f, float beta2 = 0.999f, float eps = 1e-8f);
 
     /** Apply one update using the gradients currently accumulated. */
-    virtual void step() = 0;
+    void step();
 
     /** Clear the gradients of every parameter. */
     void zeroGrad();
@@ -32,34 +31,8 @@ class Optimizer
     /** The managed parameters. */
     const std::vector<ag::Var> &params() const { return params_; }
 
-  protected:
+  private:
     std::vector<ag::Var> params_;
-};
-
-/** Plain SGD with optional momentum. */
-class Sgd : public Optimizer
-{
-  public:
-    Sgd(std::vector<ag::Var> params, float lr, float momentum = 0.0f);
-
-    void step() override;
-
-  private:
-    float lr_;
-    float momentum_;
-    std::vector<Tensor> velocity_;
-};
-
-/** Adam (Kingma & Ba, 2015) with PyTorch-default hyperparameters. */
-class Adam : public Optimizer
-{
-  public:
-    Adam(std::vector<ag::Var> params, float lr = 1e-3f,
-         float beta1 = 0.9f, float beta2 = 0.999f, float eps = 1e-8f);
-
-    void step() override;
-
-  private:
     float lr_, beta1_, beta2_, eps_;
     int64_t t_ = 0;
     std::vector<Tensor> m_;

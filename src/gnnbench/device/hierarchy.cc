@@ -63,7 +63,8 @@ CacheTier::CacheTier(std::string name, uint64_t capacity_bytes,
     : name_(std::move(name)), capacityBytes_(capacity_bytes),
       tileBytes_(tile_bytes)
 {
-    GNNBENCH_CHECK(tile_bytes > 0 && capacity_bytes >= tile_bytes,
+    GNNBENCH_CHECK(tile_bytes > 0 &&
+                       (capacity_bytes == 0 || capacity_bytes >= tile_bytes),
                    "CacheTier ", name_,
                    ": capacity must hold at least one tile");
     capacityTiles_ = capacity_bytes / tile_bytes;
@@ -85,6 +86,8 @@ CacheTier::access(uint64_t tile)
 void
 CacheTier::insert(uint64_t tile)
 {
+    if (capacityTiles_ == 0)
+        return;
     auto it = map_.find(tile);
     if (it != map_.end()) {
         lru_.splice(lru_.begin(), lru_, it->second);

@@ -113,7 +113,8 @@ struct HierarchySpec
  *  - bytesUsed() <= capacityBytes()          (budget never exceeded)
  * access() never inserts; the caller decides what a miss fetches and
  * then insert()s, which keeps demand-fill and prefetch policies in
- * the hierarchy rather than in the tier.
+ * the hierarchy rather than in the tier.  A zero-capacity tier caches
+ * nothing: insert() is a no-op.
  */
 class CacheTier
 {

@@ -1,8 +1,5 @@
 #include "gnnbench/dglx/dataloader.h"
 
-#include "gnnbench/check/validate.h"
-#include "gnnbench/core/parallel.h"
-
 namespace gnnbench {
 namespace dglx {
 
@@ -25,42 +22,10 @@ DataLoader::load(const graph::Dataset &dataset)
 
 namespace {
 
-using core::parallel::chunkSeed;
-
-// Per-loader-type salts for chunkSeed.  Batch i's sampler stream is a
-// pure function of (the loader's one base draw, salt, i) — never of
-// the worker that happens to run it — so delivered batches are
-// bit-identical for any num_workers, 0 included.
+// Per-loader-type salts for chunkSeed (see sampling/loader.h).
 constexpr uint64_t kNeighborSalt = 0x646E6269;  // "dnbi"
 constexpr uint64_t kClusterSalt = 0x64636C75;   // "dclu"
 constexpr uint64_t kSaintSalt = 0x64737274;     // "dsrt"
-
-using NeighborProducer =
-    sampling::Prefetcher<sampling::NeighborSample>::Producer;
-
-std::vector<NeighborProducer>
-neighborProducers(
-    const NeighborSampler &proto, core::Rng &rng,
-    std::shared_ptr<const std::vector<std::vector<NodeId>>> batches,
-    int num_workers)
-{
-    GNNBENCH_CHECK(num_workers >= 0, "negative worker count");
-    const uint64_t base = rng.next();
-    const int workers = std::max(num_workers, 1);
-    std::vector<NeighborProducer> out;
-    out.reserve(workers);
-    for (int w = 0; w < workers; ++w) {
-        auto sampler = std::make_shared<NeighborSampler>(
-            proto.withRng(core::Rng(base)));
-        out.push_back([sampler, batches, base](int64_t i) {
-            sampler->reseed(core::Rng(chunkSeed(
-                base, kNeighborSalt, static_cast<uint64_t>(i))));
-            return sampler->sample(
-                (*batches)[static_cast<size_t>(i)]);
-        });
-    }
-    return out;
-}
 
 } // namespace
 
@@ -68,88 +33,11 @@ NeighborLoader::NeighborLoader(
     const NeighborSampler &proto, core::Rng &rng,
     std::vector<std::vector<NodeId>> seed_batches, int num_workers,
     int prefetch_depth)
-    : seedBatches_(
-          std::make_shared<const std::vector<std::vector<NodeId>>>(
-              std::move(seed_batches)))
+    : Loader(sampling::makeLoader(proto, rng, kNeighborSalt,
+                                  std::move(seed_batches), num_workers,
+                                  prefetch_depth, "dgl-neighbor",
+                                  nullptr))
 {
-    auto producers =
-        neighborProducers(proto, rng, seedBatches_, num_workers);
-    const auto n = static_cast<int64_t>(seedBatches_->size());
-    if (num_workers == 0)
-        prefetcher_ = std::make_unique<
-            sampling::Prefetcher<sampling::NeighborSample>>(
-            std::move(producers[0]), n, "dgl-neighbor");
-    else
-        prefetcher_ = std::make_unique<
-            sampling::Prefetcher<sampling::NeighborSample>>(
-            std::move(producers), n, prefetch_depth, "dgl-neighbor");
-}
-
-std::optional<sampling::NeighborSample>
-NeighborLoader::next()
-{
-    std::optional<sampling::NeighborSample> smp = prefetcher_->next();
-    if (smp && check::enabled()) {
-        // Loader seam: the pipeline must deliver batches in serial
-        // seed-batch order no matter which worker finished first.
-        const auto &want =
-            (*seedBatches_)[static_cast<size_t>(delivered_)];
-        if (smp->seeds != want)
-            check::require(check::Result::fail(
-                "neighbor loader delivered batch out of order (at "
-                "position " + std::to_string(delivered_) + ")"));
-    }
-    if (smp)
-        ++delivered_;
-    return smp;
-}
-
-void
-NeighborLoader::shutdown()
-{
-    prefetcher_->shutdown();
-}
-
-const std::vector<double> &
-NeighborLoader::workerBusySeconds()
-{
-    return prefetcher_->workerBusySeconds();
-}
-
-InducedLoader::InducedLoader(std::vector<Producer> producers,
-                             int num_batches, int prefetch_depth,
-                             std::string lane_tag)
-{
-    prefetcher_ = std::make_unique<
-        sampling::Prefetcher<sampling::InducedSample>>(
-        std::move(producers), num_batches, prefetch_depth,
-        std::move(lane_tag));
-}
-
-InducedLoader::InducedLoader(Producer producer, int num_batches,
-                             std::string lane_tag)
-{
-    prefetcher_ = std::make_unique<
-        sampling::Prefetcher<sampling::InducedSample>>(
-        std::move(producer), num_batches, std::move(lane_tag));
-}
-
-std::optional<sampling::InducedSample>
-InducedLoader::next()
-{
-    return prefetcher_->next();
-}
-
-void
-InducedLoader::shutdown()
-{
-    prefetcher_->shutdown();
-}
-
-const std::vector<double> &
-InducedLoader::workerBusySeconds()
-{
-    return prefetcher_->workerBusySeconds();
 }
 
 InducedLoader
@@ -157,26 +45,12 @@ makeClusterLoader(const ClusterSampler &proto, core::Rng &rng,
                   int32_t clusters_per_batch, int num_batches,
                   int num_workers, int prefetch_depth)
 {
-    GNNBENCH_CHECK(num_workers >= 0, "negative worker count");
-    const uint64_t base = rng.next();
-    const int workers = std::max(num_workers, 1);
-    std::vector<InducedLoader::Producer> producers;
-    producers.reserve(workers);
-    for (int w = 0; w < workers; ++w) {
-        auto sampler = std::make_shared<ClusterSampler>(
-            proto.withRng(core::Rng(base)));
-        producers.push_back(
-            [sampler, clusters_per_batch, base](int64_t i) {
-                sampler->reseed(core::Rng(chunkSeed(
-                    base, kClusterSalt, static_cast<uint64_t>(i))));
-                return sampler->sample(clusters_per_batch);
-            });
-    }
-    if (num_workers == 0)
-        return InducedLoader(std::move(producers[0]), num_batches,
-                             "dgl-cluster");
-    return InducedLoader(std::move(producers), num_batches,
-                         prefetch_depth, "dgl-cluster");
+    return sampling::makeLoader(
+        proto, rng, kClusterSalt, num_batches, num_workers,
+        prefetch_depth, "dgl-cluster", nullptr,
+        [clusters_per_batch](ClusterSampler &s, int64_t) {
+            return s.sample(clusters_per_batch);
+        });
 }
 
 InducedLoader
@@ -184,25 +58,10 @@ makeSaintRwLoader(const SaintRwSampler &proto, core::Rng &rng,
                   int num_batches, int num_workers,
                   int prefetch_depth)
 {
-    GNNBENCH_CHECK(num_workers >= 0, "negative worker count");
-    const uint64_t base = rng.next();
-    const int workers = std::max(num_workers, 1);
-    std::vector<InducedLoader::Producer> producers;
-    producers.reserve(workers);
-    for (int w = 0; w < workers; ++w) {
-        auto sampler = std::make_shared<SaintRwSampler>(
-            proto.withRng(core::Rng(base)));
-        producers.push_back([sampler, base](int64_t i) {
-            sampler->reseed(core::Rng(chunkSeed(
-                base, kSaintSalt, static_cast<uint64_t>(i))));
-            return sampler->sample();
-        });
-    }
-    if (num_workers == 0)
-        return InducedLoader(std::move(producers[0]), num_batches,
-                             "dgl-saint");
-    return InducedLoader(std::move(producers), num_batches,
-                         prefetch_depth, "dgl-saint");
+    return sampling::makeLoader(
+        proto, rng, kSaintSalt, num_batches, num_workers,
+        prefetch_depth, "dgl-saint", nullptr,
+        [](SaintRwSampler &s, int64_t) { return s.sample(); });
 }
 
 } // namespace dglx

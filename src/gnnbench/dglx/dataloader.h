@@ -12,14 +12,12 @@
 #ifndef GNNBENCH_DGLX_DATALOADER_H
 #define GNNBENCH_DGLX_DATALOADER_H
 
-#include <functional>
 #include <memory>
-#include <optional>
 
 #include "gnnbench/dglx/graph.h"
 #include "gnnbench/dglx/sampler.h"
 #include "gnnbench/graph/datasets.h"
-#include "gnnbench/sampling/prefetch.h"
+#include "gnnbench/sampling/loader.h"
 
 namespace gnnbench {
 namespace dglx {
@@ -46,98 +44,21 @@ class DataLoader
 };
 
 /**
- * Prefetching neighbor loader — DGL's DataLoader.  One base seed is
- * drawn from @p rng and each batch's sampler stream derives from
- * (base, batch index) alone, so the delivered samples are
- * bit-identical for any @p num_workers, 0 included (num_workers == 0
- * runs the sampler inline on the consumer thread, like torch
- * DataLoader).  next() delivers samples in seed-batch order.
+ * DGL's NeighborLoader over sampling::Loader: batch i samples around
+ * seed_batches[i] on a worker's sampler clone.
  */
-class NeighborLoader
+class NeighborLoader : public sampling::Loader<sampling::NeighborSample>
 {
   public:
     NeighborLoader(const NeighborSampler &proto, core::Rng &rng,
                    std::vector<std::vector<NodeId>> seed_batches,
                    int num_workers, int prefetch_depth);
-
-    /** Seed batches in delivery order (for labels/supervision). */
-    const std::vector<std::vector<NodeId>> &
-    seedBatches() const
-    {
-        return *seedBatches_;
-    }
-
-    /** Next sample in batch order; empty when exhausted. */
-    std::optional<sampling::NeighborSample> next();
-
-    /** Drain and join workers (idempotent; the destructor calls it,
-     *  so a loader destroyed mid-epoch shuts down cleanly). */
-    void shutdown();
-
-    /** Per-worker sampling busy seconds (joins workers first). */
-    const std::vector<double> &workerBusySeconds();
-
-    /** Aggregate prefetch-queue statistics. */
-    const core::parallel::QueueStats &
-    queueStats() const
-    {
-        return prefetcher_->queueStats();
-    }
-
-  private:
-    std::shared_ptr<const std::vector<std::vector<NodeId>>>
-        seedBatches_;
-    int64_t delivered_ = 0;
-    std::unique_ptr<sampling::Prefetcher<sampling::NeighborSample>>
-        prefetcher_;
 };
 
-/**
- * Prefetching loader for samplers producing induced subgraphs
- * (ClusterGCN, GraphSAINT).  Built through the factory helpers
- * below; batch randomness is a pure function of the batch index, so
- * the stream is worker-count invariant.
- */
-class InducedLoader
-{
-  public:
-    /** Draws the batch with the given global index on a worker's
-     *  private sampler clone. */
-    using Producer = std::function<sampling::InducedSample(int64_t)>;
+/** Loader of induced subgraphs (ClusterGCN, GraphSAINT). */
+using InducedLoader = sampling::Loader<sampling::InducedSample>;
 
-    /** Threaded (num_workers >= 1) mode.
-     *  @param lane_tag trace-lane prefix for the workers. */
-    InducedLoader(std::vector<Producer> producers, int num_batches,
-                  int prefetch_depth,
-                  std::string lane_tag = "dgl-induced");
-
-    /** Inline (num_workers == 0) mode: next() samples on the calling
-     *  thread. */
-    InducedLoader(Producer producer, int num_batches,
-                  std::string lane_tag = "dgl-induced");
-
-    /** Next batch in order; empty when exhausted. */
-    std::optional<sampling::InducedSample> next();
-
-    void shutdown();
-
-    const std::vector<double> &workerBusySeconds();
-
-    /** Aggregate prefetch-queue statistics. */
-    const core::parallel::QueueStats &
-    queueStats() const
-    {
-        return prefetcher_->queueStats();
-    }
-
-  private:
-    std::unique_ptr<sampling::Prefetcher<sampling::InducedSample>>
-        prefetcher_;
-};
-
-/** ClusterGCN loader: per-worker ClusterSampler clones (sharing the
- *  one-time partition), each reseeded per batch from the batch index
- *  so the union drawn for batch i is worker-count invariant. */
+/** ClusterGCN loader: worker clones share the one-time partition. */
 InducedLoader makeClusterLoader(const ClusterSampler &proto,
                                 core::Rng &rng,
                                 int32_t clusters_per_batch,

@@ -10,21 +10,18 @@ namespace dist {
 FeatureStore::FeatureStore(const core::Tensor &features,
                            const ShardedGraph &sharded,
                            uint64_t halo_capacity_bytes)
-    : features_(&features), sharded_(&sharded),
-      capacityBytes_(halo_capacity_bytes)
+    : features_(&features), sharded_(&sharded)
 {
-    GNNBENCH_CHECK(capacityBytes_ == 0 ||
-                       capacityBytes_ >= rowBytes(),
+    GNNBENCH_CHECK(halo_capacity_bytes == 0 ||
+                       halo_capacity_bytes >= rowBytes(),
                    "FeatureStore: capacity below one feature row");
-    caches_.resize(sharded.ranks.size());
-    for (size_t r = 0; r < caches_.size(); ++r) {
-        const RankShard &shard = sharded.ranks[r];
-        RankCache &cache = caches_[r];
+    caches_.reserve(sharded.ranks.size());
+    for (const RankShard &shard : sharded.ranks) {
         const auto n_halo =
             static_cast<int64_t>(shard.haloIn.size());
-        cache.buffer = core::Tensor(n_halo, features.cols());
-        cache.resident.assign(shard.haloIn.size(), 0);
-        cache.lastUse.assign(shard.haloIn.size(), 0);
+        caches_.push_back(
+            {core::Tensor(n_halo, features.cols()),
+             device::CacheTier("halo", halo_capacity_bytes, rowBytes())});
         // Owned rows are preloaded into the rank's partition of the
         // (shared, immutable) feature matrix: charged once, never
         // fetched.
@@ -37,28 +34,6 @@ FeatureStore::FeatureStore(const core::Tensor &features,
         .add(preloadBytes_);
 }
 
-bool
-FeatureStore::evictOne(RankCache &cache)
-{
-    size_t victim = cache.resident.size();
-    uint64_t oldest = 0;
-    for (size_t h = 0; h < cache.resident.size(); ++h) {
-        if (!cache.resident[h])
-            continue;
-        if (victim == cache.resident.size() ||
-            cache.lastUse[h] < oldest) {
-            victim = h;
-            oldest = cache.lastUse[h];
-        }
-    }
-    if (victim == cache.resident.size())
-        return false;
-    cache.resident[victim] = 0;
-    cache.residentBytes -= rowBytes();
-    ++evictions_;
-    return true;
-}
-
 const core::Tensor &
 FeatureStore::fetchHalo(int rank, ModeledComm *comm)
 {
@@ -68,36 +43,31 @@ FeatureStore::fetchHalo(int rank, ModeledComm *comm)
     const RankShard &shard =
         sharded_->ranks[static_cast<size_t>(rank)];
     RankCache &cache = caches_[static_cast<size_t>(rank)];
+    device::CacheTier &rows = cache.rows;
     const uint64_t row_bytes = rowBytes();
 
-    uint64_t hits = 0, misses = 0;
-    const uint64_t evictions_before = evictions_;
+    const uint64_t hits_before = rows.hits();
+    const uint64_t misses_before = rows.misses();
+    const uint64_t evictions_before = rows.evictions();
     std::vector<uint64_t> bytes_from(
         static_cast<size_t>(sharded_->numRanks), 0);
 
     for (size_t h = 0; h < shard.haloIn.size(); ++h) {
-        cache.lastUse[h] = ++cache.useClock;
-        if (cache.resident[h]) {
-            ++hits;
+        if (rows.access(h))
             continue;
-        }
-        ++misses;
         const NodeId u = shard.haloIn[h];
         std::memcpy(cache.buffer.row(static_cast<int64_t>(h)),
                     features_->row(u), row_bytes);
         bytes_from[static_cast<size_t>(sharded_->owner(u))] +=
             row_bytes;
-        // Admit under the byte budget, evicting LRU residents; a
-        // budget too small for even this row just leaves it
-        // non-resident (it stays valid in the working buffer).
-        while (cache.residentBytes + row_bytes > capacityBytes_ &&
-               evictOne(cache)) {
-        }
-        if (cache.residentBytes + row_bytes <= capacityBytes_) {
-            cache.resident[h] = 1;
-            cache.residentBytes += row_bytes;
-        }
+        // Admit at MRU, evicting the LRU resident row over budget; a
+        // zero budget caches nothing (the row stays valid in the
+        // working buffer).
+        rows.insert(h);
     }
+    const uint64_t hits = rows.hits() - hits_before;
+    const uint64_t misses = rows.misses() - misses_before;
+    const uint64_t evictions = rows.evictions() - evictions_before;
 
     uint64_t fetch_bytes = 0;
     if (comm != nullptr)
@@ -115,13 +85,13 @@ FeatureStore::fetchHalo(int rank, ModeledComm *comm)
 
     hits_ += hits;
     misses_ += misses;
+    evictions_ += evictions;
     fetchBytes_ += fetch_bytes;
     auto &reg = profiling::MetricsRegistry::global();
     reg.counter("datastore.hits").add(hits);
     reg.counter("datastore.misses").add(misses);
     reg.counter("datastore.fetch.bytes").add(fetch_bytes);
-    reg.counter("datastore.evictions")
-        .add(evictions_ - evictions_before);
+    reg.counter("datastore.evictions").add(evictions);
     return cache.buffer;
 }
 

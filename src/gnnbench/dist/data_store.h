@@ -12,7 +12,8 @@
  * scaling ablation's data-store hit rate climbs accordingly.  An
  * undersized cache (haloCapacityBytes) forces deterministic
  * least-recently-used eviction and re-fetching, which the accounting
- * tests pin down.
+ * tests pin down; the cache is a device::CacheTier, the LRU the
+ * device hierarchy's tiers use.
  *
  * fetchHalo() is an epoch-granular bulk operation: it walks the
  * rank's haloIn set in ascending order, counts a hit or a miss per
@@ -36,6 +37,7 @@
 #include <vector>
 
 #include "gnnbench/core/tensor.h"
+#include "gnnbench/device/hierarchy.h"
 #include "gnnbench/dist/comm.h"
 #include "gnnbench/dist/shard.h"
 
@@ -96,23 +98,16 @@ class FeatureStore
     struct RankCache
     {
         /** Halo working buffer, nHalo x F (haloIn row order); all
-         *  rows valid after fetchHalo, but only `resident` ones are
-         *  served from cache next epoch. */
+         *  rows valid after fetchHalo, but only those resident in
+         *  `rows` are served from cache next epoch. */
         core::Tensor buffer;
-        std::vector<uint8_t> resident;
-        /** LRU stamp per halo row (0 = never used). */
-        std::vector<uint64_t> lastUse;
-        uint64_t useClock = 0;
-        uint64_t residentBytes = 0;
+        /** Resident halo rows keyed by haloIn position, one tile per
+         *  feature row. */
+        device::CacheTier rows;
     };
-
-    /** Drop the LRU resident row of @p cache (returns false when
-     *  nothing is resident). */
-    bool evictOne(RankCache &cache);
 
     const core::Tensor *features_;
     const ShardedGraph *sharded_;
-    uint64_t capacityBytes_;
     std::vector<RankCache> caches_;
 
     uint64_t hits_ = 0;

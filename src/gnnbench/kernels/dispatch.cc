@@ -226,74 +226,5 @@ KernelStats::rooflineFraction() const
         cost, seconds, profiling::rooflineCalibration());
 }
 
-core::ag::Var
-spmmVar(std::shared_ptr<const graph::CsrGraph> adj,
-        std::shared_ptr<const std::vector<float>> w, ReduceOp op,
-        const core::ag::Var &x, KernelVariant v)
-{
-    GNNBENCH_CHECK(adj != nullptr, "spmmVar: adjacency is required");
-    GNNBENCH_CHECK(op != ReduceOp::Max || w == nullptr,
-                   "spmmVar: max reduce does not take edge weights");
-    const float *wptr = w ? w->data() : nullptr;
-
-    if (op == ReduceOp::Max) {
-        auto arg = std::make_shared<std::vector<NodeId>>();
-        Tensor out = spmmMaxArg(*adj, x->value, arg.get(), v);
-        const int64_t f = x->value.cols();
-        const NodeId srcRows = adj->numCols;
-        return core::ag::makeOp(
-            "kernels.spmm_max", std::move(out), {x},
-            [adj, arg, f, srcRows, v](core::ag::Node &node) {
-                core::ag::Var xin = node.parents[0];
-                if (!xin->requiresGrad)
-                    return;
-                Tensor gx(srcRows, f);
-                const NodeId rows = adj->numRows;
-                for (NodeId r = 0; r < rows; ++r) {
-                    const float *grow = node.grad.row(r);
-                    const NodeId *arow =
-                        arg->data() + static_cast<size_t>(r) * f;
-                    for (int64_t j = 0; j < f; ++j) {
-                        const NodeId s = arow[j];
-                        if (s >= 0)
-                            gx(s, j) += grow[j];
-                    }
-                }
-                xin->accumulateGrad(gx);
-            });
-    }
-
-    Tensor out = spmm(*adj, x->value, op, wptr, v);
-    const char *name = op == ReduceOp::Mean ? "kernels.spmm_mean"
-                                            : "kernels.spmm_sum";
-    const bool mean = op == ReduceOp::Mean;
-    return core::ag::makeOp(
-        name, std::move(out), {x},
-        [adj, w, mean, v](core::ag::Node &node) {
-            core::ag::Var xin = node.parents[0];
-            if (!xin->requiresGrad)
-                return;
-            const float *wb = w ? w->data() : nullptr;
-            if (!mean) {
-                xin->accumulateGrad(
-                    spmmScatter(*adj, node.grad, wb, v));
-                return;
-            }
-            // d(mean)/dx routes grad/degree through the transpose.
-            Tensor scaled = node.grad;
-            const int64_t f = scaled.cols();
-            for (NodeId r = 0; r < adj->numRows; ++r) {
-                const EdgeId deg = adj->degree(r);
-                if (deg == 0)
-                    continue;
-                const float inv = 1.0f / static_cast<float>(deg);
-                float *row = scaled.row(r);
-                for (int64_t j = 0; j < f; ++j)
-                    row[j] *= inv;
-            }
-            xin->accumulateGrad(spmmScatter(*adj, scaled, wb, v));
-        });
-}
-
 } // namespace kernels
 } // namespace gnnbench

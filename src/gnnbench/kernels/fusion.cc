@@ -4,15 +4,11 @@
 #include <utility>
 
 #include "gnnbench/core/common.h"
-#include "gnnbench/core/parallel.h"
 #include "gnnbench/device/hierarchy.h"
-#include "gnnbench/kernels/detail.h"
 #include "gnnbench/profiling/metrics_registry.h"
 
 namespace gnnbench {
 namespace kernels {
-
-using core::Tensor;
 
 const char *
 fusedOpName(FusedOp op)
@@ -133,72 +129,6 @@ KernelGraph::fuse(int producer, int consumer, uint64_t bytes_saved)
     fusionCounters().fusedPairs.add(1);
     fusionCounters().bytesSaved.add(bytes_saved);
     return true;
-}
-
-Tensor
-gatherScatterSum(const Tensor &x, const std::vector<NodeId> &src,
-                 const std::vector<NodeId> &dst, const float *w,
-                 NodeId out_rows, KernelVariant v, KernelStats *stats)
-{
-    GNNBENCH_CHECK(src.size() == dst.size(),
-                   "gatherScatterSum: one (src, dst) pair per edge");
-    const int64_t n = static_cast<int64_t>(src.size());
-    const int64_t f = x.cols();
-    const KernelVariant chosen = resolveVariant(v, n, f);
-    detail::OpObserver obs(
-        "kernels.fused_scatter", static_cast<uint64_t>(out_rows),
-        static_cast<uint64_t>(n),
-        profiling::scatterCost(static_cast<uint64_t>(n),
-                               static_cast<uint64_t>(out_rows), f),
-        chosen, stats);
-
-    Tensor out(out_rows, f);
-    if (f == 0 || n == 0)
-        return out;
-    auto fusedTile = [&](int64_t j0, int64_t j1) {
-        for (int64_t i = 0; i < n; ++i) {
-            float *__restrict orow =
-                out.row(dst[static_cast<size_t>(i)]);
-            const float *__restrict xrow =
-                x.row(src[static_cast<size_t>(i)]);
-            if (w) {
-                const float we = w[i];
-                for (int64_t j = j0; j < j1; ++j)
-                    orow[j] += we * xrow[j];
-            } else {
-                for (int64_t j = j0; j < j1; ++j)
-                    orow[j] += xrow[j];
-            }
-        }
-    };
-    if (chosen == KernelVariant::Reference)
-        fusedTile(0, f);
-    else
-        core::parallel::parallelFor(0, f, Tiling::kFeatTile, fusedTile);
-    return out;
-}
-
-Tensor
-spmmRelu(const graph::CsrGraph &adj, const Tensor &x, ReduceOp op,
-         const float *w, KernelVariant v, KernelStats *stats)
-{
-    Tensor out = spmm(adj, x, op, w, v, stats);
-    const int64_t numel = out.numel();
-    if (numel == 0)
-        return out;
-    float *p = out.data();
-    const KernelVariant chosen = resolveVariant(v, adj.numEdges(), 1);
-    auto reluRange = [&](int64_t i0, int64_t i1) {
-        for (int64_t i = i0; i < i1; ++i)
-            p[i] = std::max(p[i], 0.0f);
-    };
-    // ReLU is exact (no rounding), so the epilogue needs no
-    // variant-specific arithmetic order.
-    if (chosen == KernelVariant::Reference)
-        reluRange(0, numel);
-    else
-        core::parallel::parallelFor(0, numel, 4096, reluRange);
-    return out;
 }
 
 } // namespace kernels

@@ -21,12 +21,10 @@
  * Eligible pairs declined by the latter two gates bump
  * "device.fusion.rejected_pairs"; ineligible pairs fail silently.
  *
- * The fused executors below preserve the repo's determinism contract:
- * each output element accumulates in ascending edge order with
- * separate multiply and add (this TU is compiled with
- * -ffp-contract=off), so fused results are bit-identical to the
- * materialized two-kernel execution for any variant and any thread
- * count.
+ * The graph only decides and books; the framework executes.  dglx's
+ * fused mean aggregation (gspmm_mean) is bit-identical to its
+ * materialized SpMM-sum + row-scale pair for any thread count, so
+ * fusion changes modeled traffic and never arithmetic.
  */
 
 #ifndef GNNBENCH_KERNELS_FUSION_H
@@ -35,8 +33,6 @@
 #include <cstdint>
 #include <string>
 #include <vector>
-
-#include "gnnbench/kernels/kernels.h"
 
 namespace gnnbench {
 namespace kernels {
@@ -112,36 +108,6 @@ class KernelGraph
     uint64_t bytesSaved_ = 0;
     uint64_t rejectedPairs_ = 0;
 };
-
-/// @name Fused executors
-/// @{
-
-/**
- * Fused gather→[mul-edge]→scatter:
- *   out[dst[i], :] += (w ? w[i] : 1) * x[src[i], :]
- * over @p out_rows rows, without materializing the per-edge message
- * matrix.  Bit-identical to gatherRows + mulEdgeScalar + scatterSum
- * (ascending-i accumulation per element, product rounded once).
- */
-core::Tensor gatherScatterSum(const core::Tensor &x,
-                              const std::vector<NodeId> &src,
-                              const std::vector<NodeId> &dst,
-                              const float *w, NodeId out_rows,
-                              KernelVariant v = KernelVariant::Auto,
-                              KernelStats *stats = nullptr);
-
-/**
- * Fused SpMM→ReLU: spmm(adj, x, op, w) with max(val, 0) applied to
- * the aggregated rows before they are written back, skipping the
- * materialized activation pass.  Bit-identical to
- * spmm + core::ops::relu (ReLU is exact).
- */
-core::Tensor spmmRelu(const graph::CsrGraph &adj, const core::Tensor &x,
-                      ReduceOp op, const float *w = nullptr,
-                      KernelVariant v = KernelVariant::Auto,
-                      KernelStats *stats = nullptr);
-
-/// @}
 
 } // namespace kernels
 } // namespace gnnbench

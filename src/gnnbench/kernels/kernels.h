@@ -44,12 +44,10 @@
 #ifndef GNNBENCH_KERNELS_KERNELS_H
 #define GNNBENCH_KERNELS_KERNELS_H
 
-#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
 
-#include "gnnbench/core/autograd.h"
 #include "gnnbench/core/tensor.h"
 #include "gnnbench/graph/csr.h"
 #include "gnnbench/profiling/perf_counters.h"
@@ -262,20 +260,6 @@ core::Tensor scatterSumCols(const graph::CsrGraph &adj,
                             KernelStats *stats = nullptr);
 
 /// @}
-
-/**
- * Differentiable SpMM with the full reducer set.  Backward:
- *  - Sum:  dx = A^T g (spmmScatter, same weights);
- *  - Mean: dx = A^T (g / rowDegree);
- *  - Max:  dx[argmax(r, j), j] += g[r, j] (argmax recorded forward).
- * The adjacency and weights are held by shared_ptr so sampled-block
- * temporaries survive until the tape runs (use a non-owning aliasing
- * pointer for cached structures).
- */
-core::ag::Var spmmVar(std::shared_ptr<const graph::CsrGraph> adj,
-                      std::shared_ptr<const std::vector<float>> w,
-                      ReduceOp op, const core::ag::Var &x,
-                      KernelVariant v = KernelVariant::Auto);
 
 } // namespace kernels
 } // namespace gnnbench

@@ -28,7 +28,7 @@ namespace models {
 namespace driver {
 
 namespace ag = core::ag;
-using SeedBatches = std::vector<std::vector<NodeId>>;
+using sampling::SeedBatches;
 
 /** DGL: the eager graph object, fused kernels, and samplers and
  *  loaders that take no session. */

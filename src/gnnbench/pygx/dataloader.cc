@@ -1,8 +1,5 @@
 #include "gnnbench/pygx/dataloader.h"
 
-#include "gnnbench/check/validate.h"
-#include "gnnbench/core/parallel.h"
-
 namespace gnnbench {
 namespace pygx {
 
@@ -21,47 +18,10 @@ DataLoader::load(const graph::Dataset &dataset)
 
 namespace {
 
-using core::parallel::chunkSeed;
-
-// Per-loader-type salts for chunkSeed.  Batch i's sampler stream is a
-// pure function of (the loader's one base draw, salt, i) — never of
-// the worker that happens to run it — so delivered batches are
-// bit-identical for any num_workers, 0 included.
+// Per-loader-type salts for chunkSeed (see sampling/loader.h).
 constexpr uint64_t kNeighborSalt = 0x706E6269;  // "pnbi"
 constexpr uint64_t kClusterSalt = 0x70636C75;   // "pclu"
 constexpr uint64_t kSaintSalt = 0x70737274;     // "psrt"
-
-using TimedNeighbor = detail::Timed<NeighborBatch>;
-using TimedEdge = detail::Timed<EdgeBatch>;
-
-std::vector<sampling::Prefetcher<TimedNeighbor>::Producer>
-neighborProducers(
-    const NeighborSampler &proto, core::Rng &rng,
-    std::shared_ptr<const std::vector<std::vector<NodeId>>> batches,
-    int num_workers)
-{
-    GNNBENCH_CHECK(num_workers >= 0, "negative worker count");
-    const uint64_t base = rng.next();
-    const int workers = std::max(num_workers, 1);
-    std::vector<sampling::Prefetcher<TimedNeighbor>::Producer> out;
-    out.reserve(workers);
-    for (int w = 0; w < workers; ++w) {
-        // Null session: the clone accumulates modeled overhead
-        // instead of charging the (single-threaded) session.
-        auto sampler = std::make_shared<NeighborSampler>(
-            proto.withRng(core::Rng(base), nullptr));
-        out.push_back([sampler, batches, base](int64_t i) {
-            sampler->reseed(core::Rng(chunkSeed(
-                base, kNeighborSalt, static_cast<uint64_t>(i))));
-            TimedNeighbor t;
-            t.batch = sampler->sample(
-                (*batches)[static_cast<size_t>(i)]);
-            t.modeledSeconds = sampler->takeModeledOverheadSeconds();
-            return t;
-        });
-    }
-    return out;
-}
 
 } // namespace
 
@@ -69,100 +29,11 @@ NeighborLoader::NeighborLoader(
     const NeighborSampler &proto, core::Rng &rng,
     std::vector<std::vector<NodeId>> seed_batches, int num_workers,
     int prefetch_depth, device::Session *session)
-    : seedBatches_(
-          std::make_shared<const std::vector<std::vector<NodeId>>>(
-              std::move(seed_batches))),
-      session_(session)
+    : Loader(sampling::makeLoader(proto, rng, kNeighborSalt,
+                                  std::move(seed_batches), num_workers,
+                                  prefetch_depth, "pyg-neighbor",
+                                  session))
 {
-    auto producers =
-        neighborProducers(proto, rng, seedBatches_, num_workers);
-    const auto n = static_cast<int64_t>(seedBatches_->size());
-    if (num_workers == 0)
-        prefetcher_ =
-            std::make_unique<sampling::Prefetcher<TimedNeighbor>>(
-                std::move(producers[0]), n, "pyg-neighbor");
-    else
-        prefetcher_ =
-            std::make_unique<sampling::Prefetcher<TimedNeighbor>>(
-                std::move(producers), n, prefetch_depth,
-                "pyg-neighbor");
-}
-
-std::optional<NeighborBatch>
-NeighborLoader::next()
-{
-    std::optional<TimedNeighbor> t = prefetcher_->next();
-    if (!t)
-        return std::nullopt;
-    if (session_)
-        session_->chargeCpuOverhead(t->modeledSeconds);
-    if (check::enabled()) {
-        // Loader seam: the pipeline must deliver batches in serial
-        // seed-batch order no matter which worker finished first.
-        const auto &want =
-            (*seedBatches_)[static_cast<size_t>(delivered_)];
-        if (t->batch.seeds != want)
-            check::require(check::Result::fail(
-                "neighbor loader delivered batch out of order (at "
-                "position " + std::to_string(delivered_) + ")"));
-    }
-    ++delivered_;
-    return std::move(t->batch);
-}
-
-void
-NeighborLoader::shutdown()
-{
-    prefetcher_->shutdown();
-}
-
-const std::vector<double> &
-NeighborLoader::workerBusySeconds()
-{
-    return prefetcher_->workerBusySeconds();
-}
-
-EdgeBatchLoader::EdgeBatchLoader(std::vector<Producer> producers,
-                                 int num_batches, int prefetch_depth,
-                                 device::Session *session,
-                                 std::string lane_tag)
-    : session_(session)
-{
-    prefetcher_ = std::make_unique<sampling::Prefetcher<TimedEdge>>(
-        std::move(producers), num_batches, prefetch_depth,
-        std::move(lane_tag));
-}
-
-EdgeBatchLoader::EdgeBatchLoader(Producer producer, int num_batches,
-                                 device::Session *session,
-                                 std::string lane_tag)
-    : session_(session)
-{
-    prefetcher_ = std::make_unique<sampling::Prefetcher<TimedEdge>>(
-        std::move(producer), num_batches, std::move(lane_tag));
-}
-
-std::optional<EdgeBatch>
-EdgeBatchLoader::next()
-{
-    std::optional<TimedEdge> t = prefetcher_->next();
-    if (!t)
-        return std::nullopt;
-    if (session_)
-        session_->chargeCpuOverhead(t->modeledSeconds);
-    return std::move(t->batch);
-}
-
-void
-EdgeBatchLoader::shutdown()
-{
-    prefetcher_->shutdown();
-}
-
-const std::vector<double> &
-EdgeBatchLoader::workerBusySeconds()
-{
-    return prefetcher_->workerBusySeconds();
 }
 
 EdgeBatchLoader
@@ -171,30 +42,12 @@ makeClusterLoader(const ClusterSampler &proto, core::Rng &rng,
                   int num_workers, int prefetch_depth,
                   device::Session *session)
 {
-    GNNBENCH_CHECK(num_workers >= 0, "negative worker count");
-    const uint64_t base = rng.next();
-    const int workers = std::max(num_workers, 1);
-    std::vector<EdgeBatchLoader::Producer> producers;
-    producers.reserve(workers);
-    for (int w = 0; w < workers; ++w) {
-        auto sampler = std::make_shared<ClusterSampler>(
-            proto.withRng(core::Rng(base), nullptr));
-        producers.push_back(
-            [sampler, clusters_per_batch, base](int64_t i) {
-                sampler->reseed(core::Rng(chunkSeed(
-                    base, kClusterSalt, static_cast<uint64_t>(i))));
-                TimedEdge t;
-                t.batch = sampler->sample(clusters_per_batch);
-                t.modeledSeconds =
-                    sampler->takeModeledOverheadSeconds();
-                return t;
-            });
-    }
-    if (num_workers == 0)
-        return EdgeBatchLoader(std::move(producers[0]), num_batches,
-                               session, "pyg-cluster");
-    return EdgeBatchLoader(std::move(producers), num_batches,
-                           prefetch_depth, session, "pyg-cluster");
+    return sampling::makeLoader(
+        proto, rng, kClusterSalt, num_batches, num_workers,
+        prefetch_depth, "pyg-cluster", session,
+        [clusters_per_batch](ClusterSampler &s, int64_t) {
+            return s.sample(clusters_per_batch);
+        });
 }
 
 EdgeBatchLoader
@@ -202,28 +55,10 @@ makeSaintRwLoader(const SaintRwSampler &proto, core::Rng &rng,
                   int num_batches, int num_workers,
                   int prefetch_depth, device::Session *session)
 {
-    GNNBENCH_CHECK(num_workers >= 0, "negative worker count");
-    const uint64_t base = rng.next();
-    const int workers = std::max(num_workers, 1);
-    std::vector<EdgeBatchLoader::Producer> producers;
-    producers.reserve(workers);
-    for (int w = 0; w < workers; ++w) {
-        auto sampler = std::make_shared<SaintRwSampler>(
-            proto.withRng(core::Rng(base), nullptr));
-        producers.push_back([sampler, base](int64_t i) {
-            sampler->reseed(core::Rng(chunkSeed(
-                base, kSaintSalt, static_cast<uint64_t>(i))));
-            TimedEdge t;
-            t.batch = sampler->sample();
-            t.modeledSeconds = sampler->takeModeledOverheadSeconds();
-            return t;
-        });
-    }
-    if (num_workers == 0)
-        return EdgeBatchLoader(std::move(producers[0]), num_batches,
-                               session, "pyg-saint");
-    return EdgeBatchLoader(std::move(producers), num_batches,
-                           prefetch_depth, session, "pyg-saint");
+    return sampling::makeLoader(
+        proto, rng, kSaintSalt, num_batches, num_workers,
+        prefetch_depth, "pyg-saint", session,
+        [](SaintRwSampler &s, int64_t) { return s.sample(); });
 }
 
 } // namespace pygx

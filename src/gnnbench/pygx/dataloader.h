@@ -10,14 +10,12 @@
 #ifndef GNNBENCH_PYGX_DATALOADER_H
 #define GNNBENCH_PYGX_DATALOADER_H
 
-#include <functional>
 #include <memory>
-#include <optional>
 
 #include "gnnbench/graph/datasets.h"
 #include "gnnbench/pygx/data.h"
 #include "gnnbench/pygx/sampler.h"
-#include "gnnbench/sampling/prefetch.h"
+#include "gnnbench/sampling/loader.h"
 
 namespace gnnbench {
 namespace pygx {
@@ -43,121 +41,24 @@ class DataLoader
     static LoadedData load(const graph::Dataset &dataset);
 };
 
-namespace detail {
-
 /**
- * A batch paired with the modeled interpreter seconds its production
- * cost.  device::Session is single-threaded, so prefetch workers run
- * sampler clones with a *null* session; the modeled overhead rides
- * the queue and the consumer charges it on the main thread — exactly
- * when the training loop would have waited for the worker.
+ * PyG's NeighborLoader over sampling::Loader: batch i samples around
+ * seed_batches[i] on a worker's null-session sampler clone, and
+ * next() charges its modeled interpreter seconds to @p session.
  */
-template <typename B>
-struct Timed
-{
-    B batch;
-    double modeledSeconds = 0.0;
-};
-
-} // namespace detail
-
-/**
- * Prefetching neighbor loader — PyG's NeighborLoader.  One base seed
- * is drawn from @p rng and each batch's sampler stream derives from
- * (base, batch index) alone, so delivered batches are bit-identical
- * for any num_workers, 0 included (num_workers == 0 samples inline
- * on the consumer thread); delivery follows seed-batch order.
- */
-class NeighborLoader
+class NeighborLoader : public sampling::Loader<NeighborBatch>
 {
   public:
     NeighborLoader(const NeighborSampler &proto, core::Rng &rng,
                    std::vector<std::vector<NodeId>> seed_batches,
                    int num_workers, int prefetch_depth,
                    device::Session *session);
-
-    /** Seed batches in delivery order (for labels/supervision). */
-    const std::vector<std::vector<NodeId>> &
-    seedBatches() const
-    {
-        return *seedBatches_;
-    }
-
-    /** Next batch in order (charges its modeled overhead to the
-     *  session); empty when exhausted. */
-    std::optional<NeighborBatch> next();
-
-    /** Drain and join workers (idempotent; destructor-safe). */
-    void shutdown();
-
-    /** Per-worker sampling busy seconds (joins workers first). */
-    const std::vector<double> &workerBusySeconds();
-
-    /** Aggregate prefetch-queue statistics. */
-    const core::parallel::QueueStats &
-    queueStats() const
-    {
-        return prefetcher_->queueStats();
-    }
-
-  private:
-    std::shared_ptr<const std::vector<std::vector<NodeId>>>
-        seedBatches_;
-    device::Session *session_;
-    int64_t delivered_ = 0;
-    std::unique_ptr<
-        sampling::Prefetcher<detail::Timed<NeighborBatch>>>
-        prefetcher_;
 };
 
-/**
- * Multi-worker loader for the pygx samplers producing EdgeBatch
- * subgraphs (ClusterGCN, GraphSAINT); built via the factories below.
- */
-class EdgeBatchLoader
-{
-  public:
-    /** Draws the batch with the given global index on a worker's
-     *  private (null-session) sampler clone and reports its modeled
-     *  interpreter seconds. */
-    using Producer =
-        std::function<detail::Timed<EdgeBatch>(int64_t)>;
+/** Loader of EdgeBatch subgraphs (ClusterGCN, GraphSAINT). */
+using EdgeBatchLoader = sampling::Loader<EdgeBatch>;
 
-    /** Threaded (num_workers >= 1) mode.
-     *  @param lane_tag trace-lane prefix for the workers. */
-    EdgeBatchLoader(std::vector<Producer> producers, int num_batches,
-                    int prefetch_depth, device::Session *session,
-                    std::string lane_tag = "pyg-induced");
-
-    /** Inline (num_workers == 0) mode: next() samples on the calling
-     *  thread. */
-    EdgeBatchLoader(Producer producer, int num_batches,
-                    device::Session *session,
-                    std::string lane_tag = "pyg-induced");
-
-    /** Next batch in order (charges its modeled overhead). */
-    std::optional<EdgeBatch> next();
-
-    void shutdown();
-
-    const std::vector<double> &workerBusySeconds();
-
-    /** Aggregate prefetch-queue statistics. */
-    const core::parallel::QueueStats &
-    queueStats() const
-    {
-        return prefetcher_->queueStats();
-    }
-
-  private:
-    device::Session *session_;
-    std::unique_ptr<sampling::Prefetcher<detail::Timed<EdgeBatch>>>
-        prefetcher_;
-};
-
-/** ClusterGCN loader: per-worker ClusterSampler clones sharing the
- *  one-time partition, each reseeded per batch from the batch index
- *  so the union drawn for batch i is worker-count invariant. */
+/** ClusterGCN loader: worker clones share the one-time partition. */
 EdgeBatchLoader makeClusterLoader(const ClusterSampler &proto,
                                   core::Rng &rng,
                                   int32_t clusters_per_batch,

@@ -6,9 +6,8 @@
  * against KernelVariant::Reference on the gnncheck ten-shape graph
  * generator (empty rows, self-loops, duplicate edges, stars, skew):
  * sum/mean bit-exactly (the layer's determinism contract), max
- * ULP-bounded.  Thread-count invariance, the heavy-row path, the
- * dispatch policy, and finite-difference gradient checks for the
- * spmmVar backward are covered here too.
+ * ULP-bounded.  Thread-count invariance, the heavy-row path and the
+ * dispatch policy are covered here too.
  */
 
 #include <gtest/gtest.h>
@@ -591,79 +590,6 @@ TEST(KernelStatsSink, RecordsPerChunkSeconds)
     EXPECT_GT(tiled.chunkSeconds.size(), 1u);
     for (double s : tiled.chunkSeconds)
         EXPECT_GE(s, 0.0);
-}
-
-/** Central-difference gradient check for spmmVar (sum/mean/max). */
-void
-checkSpmmGrad(ReduceOp op, bool weighted, uint64_t seed)
-{
-    const auto csc = std::make_shared<graph::CsrGraph>(
-        graph::cooToCsc(check::generateGraphCase(seed).coo));
-    if (csc->numEdges() == 0)
-        return;
-    const int64_t f = 5;
-    std::shared_ptr<std::vector<float>> w;
-    if (weighted)
-        w = std::make_shared<std::vector<float>>(
-            randWeights(csc->numEdges(), seed ^ 0xBEEF));
-    Tensor x0 = randFeat(csc->numCols, f, seed ^ 0xF00D);
-    // Fixed projection makes the loss a scalar with dense gradient.
-    const Tensor proj = randFeat(csc->numRows, f, seed ^ 0x9D);
-
-    const auto lossOf = [&](const Tensor &xv) {
-        const Tensor y = op == ReduceOp::Max
-                             ? spmmMaxArg(*csc, xv, nullptr)
-                             : spmm(*csc, xv, op,
-                                    w ? w->data() : nullptr);
-        double acc = 0.0;
-        for (int64_t i = 0; i < y.numel(); ++i)
-            acc += static_cast<double>(y.data()[i]) * proj.data()[i];
-        return acc;
-    };
-
-    core::ag::Var xv = core::ag::leaf(x0, true);
-    core::ag::Var y = spmmVar(csc, w, op, xv);
-    core::ag::Var loss = core::ag::mul(y, core::ag::constant(proj));
-    // Reduce to scalar: sum all elements via backward seed.
-    Tensor seedGrad = Tensor::full(y->value.rows(), y->value.cols(),
-                                   1.0f);
-    // backward of mul distributes proj; seed the product node.
-    core::ag::backward(loss, &seedGrad);
-
-    const Tensor &g = xv->grad;
-    ASSERT_EQ(g.rows(), csc->numCols);
-    ASSERT_EQ(g.cols(), f);
-
-    core::Rng pick(seed ^ 0xC0FFEE);
-    const float eps = 1e-2f;
-    for (int trial = 0; trial < 12; ++trial) {
-        const int64_t i = static_cast<int64_t>(
-            pick.uniformInt(static_cast<uint64_t>(x0.numel())));
-        Tensor xp = x0, xm = x0;
-        xp.data()[i] += eps;
-        xm.data()[i] -= eps;
-        const double fd = (lossOf(xp) - lossOf(xm)) / (2.0 * eps);
-        const double an = g.data()[i];
-        EXPECT_NEAR(an, fd, 2e-2 + 2e-2 * std::abs(fd))
-            << reduceOpName(op) << " grad mismatch at " << i;
-    }
-}
-
-TEST(KernelGradients, SpmmSumBackward)
-{
-    checkSpmmGrad(ReduceOp::Sum, false, testenv::seed() ^ 0x1001);
-    checkSpmmGrad(ReduceOp::Sum, true, testenv::seed() ^ 0x1002);
-}
-
-TEST(KernelGradients, SpmmMeanBackward)
-{
-    checkSpmmGrad(ReduceOp::Mean, false, testenv::seed() ^ 0x2001);
-    checkSpmmGrad(ReduceOp::Mean, true, testenv::seed() ^ 0x2002);
-}
-
-TEST(KernelGradients, SpmmMaxBackward)
-{
-    checkSpmmGrad(ReduceOp::Max, false, testenv::seed() ^ 0x3001);
 }
 
 } // namespace

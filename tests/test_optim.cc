@@ -1,4 +1,4 @@
-/** Tests for the SGD and Adam optimizers. */
+/** Tests for the Adam optimizer. */
 
 #include <gtest/gtest.h>
 
@@ -16,44 +16,6 @@ setQuadraticGrad(const ag::Var &x, const Tensor &target)
 {
     x->zeroGrad();
     x->accumulateGrad(ops::sub(x->value, target));
-}
-
-TEST(Sgd, ConvergesOnQuadratic)
-{
-    ag::Var x = ag::leaf(Tensor::full(2, 2, 5.0f), true);
-    Tensor target = Tensor::full(2, 2, 1.0f);
-    Sgd opt({x}, 0.2f);
-    for (int i = 0; i < 100; ++i) {
-        setQuadraticGrad(x, target);
-        opt.step();
-    }
-    EXPECT_NEAR(x->value(0, 0), 1.0f, 1e-4f);
-}
-
-TEST(Sgd, SingleStepExactUpdate)
-{
-    ag::Var x = ag::leaf(Tensor::full(1, 1, 3.0f), true);
-    Sgd opt({x}, 0.1f);
-    x->accumulateGrad(Tensor::full(1, 1, 2.0f));
-    opt.step();
-    EXPECT_NEAR(x->value(0, 0), 3.0f - 0.1f * 2.0f, 1e-6f);
-}
-
-TEST(Sgd, MomentumAcceleratesConstantGradient)
-{
-    ag::Var plain = ag::leaf(Tensor::full(1, 1, 0.0f), true);
-    ag::Var mom = ag::leaf(Tensor::full(1, 1, 0.0f), true);
-    Sgd opt_plain({plain}, 0.1f);
-    Sgd opt_mom({mom}, 0.1f, 0.9f);
-    for (int i = 0; i < 10; ++i) {
-        plain->zeroGrad();
-        plain->accumulateGrad(Tensor::full(1, 1, 1.0f));
-        opt_plain.step();
-        mom->zeroGrad();
-        mom->accumulateGrad(Tensor::full(1, 1, 1.0f));
-        opt_mom.step();
-    }
-    EXPECT_LT(mom->value(0, 0), plain->value(0, 0));
 }
 
 TEST(Adam, ConvergesOnQuadratic)
@@ -102,7 +64,7 @@ TEST(Optimizer, ZeroGradClears)
 TEST(Optimizer, RejectsNonGradParams)
 {
     ag::Var c = ag::constant(Tensor::full(1, 1, 0.0f));
-    EXPECT_DEATH(Sgd({c}, 0.1f), "require grad");
+    EXPECT_DEATH(Adam({c}, 0.1f), "require grad");
 }
 
 } // namespace

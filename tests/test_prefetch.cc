@@ -1,6 +1,6 @@
 /** The prefetching pipeline and the framework dataloaders built on
  *  it: ordered delivery, exception transport, clean mid-epoch
- *  shutdown, and loader determinism. */
+ *  shutdown, and loader determinism across worker counts. */
 
 #include <atomic>
 #include <chrono>
@@ -338,6 +338,149 @@ TEST_F(LoaderTest, PygxLoaderChargesModeledOverheadOnConsumer)
     // session, so virtual time advanced beyond zero.
     EXPECT_GT(device::Session::virtualSeconds(t0, session.snapshot()),
               0.0);
+}
+
+/** A batch's ids and structure, flattened with length prefixes. */
+template <typename T>
+void
+append(std::vector<int64_t> *out, const std::vector<T> &v)
+{
+    out->push_back(static_cast<int64_t>(v.size()));
+    out->insert(out->end(), v.begin(), v.end());
+}
+
+std::vector<int64_t>
+flatten(const sampling::NeighborSample &s)
+{
+    std::vector<int64_t> out;
+    append(&out, s.seeds);
+    for (const auto &b : s.blocks) {
+        append(&out, b.srcNodes);
+        append(&out, b.dstNodes);
+        append(&out, b.csc.indptr);
+        append(&out, b.csc.indices);
+    }
+    return out;
+}
+
+std::vector<int64_t>
+flatten(const sampling::InducedSample &s)
+{
+    std::vector<int64_t> out;
+    append(&out, s.nodes);
+    append(&out, s.adj.indptr);
+    append(&out, s.adj.indices);
+    return out;
+}
+
+std::vector<int64_t>
+flatten(const pygx::NeighborBatch &b)
+{
+    std::vector<int64_t> out;
+    append(&out, b.seeds);
+    for (const auto &l : b.layers) {
+        append(&out, l.srcNodes);
+        append(&out, l.dstNodes);
+        append(&out, l.eSrc);
+        append(&out, l.eDst);
+    }
+    return out;
+}
+
+std::vector<int64_t>
+flatten(const pygx::EdgeBatch &b)
+{
+    std::vector<int64_t> out;
+    append(&out, b.nodes);
+    append(&out, b.src);
+    append(&out, b.dst);
+    return out;
+}
+
+/** One loader epoch: every batch, and the modeled seconds charged. */
+struct Epoch
+{
+    std::vector<std::vector<int64_t>> batches;
+    double modeledSeconds = 0.0;
+};
+
+/** Drain the loader make(rng, workers, session) builds on a fresh
+ *  session, so the charge is the exact sum of its batches'. */
+template <typename Make>
+Epoch
+drainLoader(const Make &make, int workers)
+{
+    device::Session session;
+    core::Rng rng(41);
+    auto loader = make(rng, workers, session);
+    Epoch e;
+    while (auto b = loader.next()) {
+        b->validate();
+        e.batches.push_back(flatten(*b));
+    }
+    e.modeledSeconds = session.snapshot().modeled.cpuOverheadSeconds;
+    return e;
+}
+
+// All six loaders deliver the same batches and charge the same
+// modeled seconds inline and at 1 and 3 workers.  Only pygx's
+// samplers model interpreter time; their prototypes charge a session
+// the workers never touch.
+TEST_F(LoaderTest, SixLoadersWorkerCountInvariant)
+{
+    device::Session proto_session;
+    const dglx::NeighborSampler dn(*dgl_.graph, {5, 3}, core::Rng(3));
+    const dglx::ClusterSampler dc(*dgl_.graph, 16, core::Rng(5));
+    const dglx::SaintRwSampler ds(*dgl_.graph, 50, 2, core::Rng(6));
+    const pygx::NeighborSampler pn(*pyg_.data, {5, 3}, core::Rng(3),
+                                   &proto_session);
+    const pygx::ClusterSampler pc(*pyg_.data, 16, core::Rng(5),
+                                  &proto_session);
+    const pygx::SaintRwSampler ps(*pyg_.data, 50, 2, core::Rng(6),
+                                  &proto_session);
+
+    auto expectInvariant = [](const char *name, bool modeled,
+                              const auto &make) {
+        const Epoch want = drainLoader(make, 0);
+        EXPECT_FALSE(want.batches.empty()) << name;
+        EXPECT_EQ(want.modeledSeconds > 0.0, modeled) << name;
+        for (int workers : {1, 3}) {
+            const Epoch got = drainLoader(make, workers);
+            EXPECT_EQ(got.batches, want.batches)
+                << name << " workers=" << workers;
+            EXPECT_EQ(got.modeledSeconds, want.modeledSeconds)
+                << name << " workers=" << workers;
+        }
+    };
+    expectInvariant("dgl-neighbor", false,
+                    [&](core::Rng &rng, int w, device::Session &) {
+                        return dglx::NeighborLoader(dn, rng, batches_, w,
+                                                    2);
+                    });
+    expectInvariant("dgl-cluster", false,
+                    [&](core::Rng &rng, int w, device::Session &) {
+                        return dglx::makeClusterLoader(dc, rng, 4, 6, w,
+                                                       2);
+                    });
+    expectInvariant("dgl-saint", false,
+                    [&](core::Rng &rng, int w, device::Session &) {
+                        return dglx::makeSaintRwLoader(ds, rng, 5, w, 2);
+                    });
+    expectInvariant("pyg-neighbor", true,
+                    [&](core::Rng &rng, int w, device::Session &s) {
+                        return pygx::NeighborLoader(pn, rng, batches_, w,
+                                                    2, &s);
+                    });
+    expectInvariant("pyg-cluster", true,
+                    [&](core::Rng &rng, int w, device::Session &s) {
+                        return pygx::makeClusterLoader(pc, rng, 4, 6, w,
+                                                       2, &s);
+                    });
+    expectInvariant("pyg-saint", true,
+                    [&](core::Rng &rng, int w, device::Session &s) {
+                        return pygx::makeSaintRwLoader(ps, rng, 5, w, 2,
+                                                       &s);
+                    });
 }
 
 TEST_F(LoaderTest, LoaderDestructionMidEpochIsClean)
